@@ -1,9 +1,19 @@
 """Exhaustive enumeration of model structures on a small category.
 
 The naive mode is the oracle: it verifies every candidate triple.  The
-pruned mode enumerates only weak-equivalence classes surviving the cheap
-closure conditions, derives F by the lifting property, and must return
-exactly the same set.
+pruned mode uses that a model structure is exactly a pair of weak
+factorization systems (C∩W, F) and (C, F∩W) whose composite class
+W = (F∩W)∘(C∩W) satisfies two-out-of-three (Joyal–Tierney, *Quasi-categories
+vs Segal spaces*, Prop. 7.8).  It enumerates the lifting-closed classes
+L = llp(rlp(L)), keeps those whose (L, rlp(L)) factors every map, and pairs
+them up; it must return exactly the naive set.  Every structure either mode
+returns is re-verified by :meth:`ModelStructure.build`.
+
+``candidates_checked`` counts candidate triples in naive mode and pairs of
+weak factorization systems tried in pruned mode.  The budget bounds the
+number of candidate triples in naive mode (refused before the scan starts)
+and the closure steps plus pairs tried in pruned mode (refused as soon as
+the count passes it).
 """
 
 from __future__ import annotations
@@ -13,15 +23,15 @@ import time
 from dataclasses import dataclass
 
 from .fincat import FinCat, InputError, is_finitely_bicomplete
-from .morphclass import MorphClass, closure_check, lifting_closure
-from .modelstruct import ModelStructure, minimal_model_structure, verify_model_structure
-from .extend import ExtensionKind, classify_extension
+from .morphclass import MorphClass, closure_check, factor_pairs, unliftable_pairs
+from .modelstruct import ModelStructure, verify_model_structure
+from .extend import ExtensionKind, TheoremViolationError, classify_extension
 
 DEFAULT_BUDGET = 2**30
 
 
 class BudgetExceeded(Exception):
-    """The candidate space is larger than the configured budget."""
+    """The census would take more steps than the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -47,13 +57,105 @@ def _subsets(pool: list[int]):
         yield from (frozenset(c) for c in itertools.combinations(pool, r))
 
 
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)
+
+
+def _factor_masks(cat: FinCat) -> list[list[tuple[int, int]]]:
+    """Per morphism f, its factorizations f = p∘j as bit pairs (1<<j, 1<<p)."""
+    return [
+        [(1 << j, 1 << p) for j, p in factor_pairs(cat, f)]
+        for f in range(len(cat.morphisms))
+    ]
+
+
+def weak_factorization_systems(
+    cat: FinCat, budget: int = DEFAULT_BUDGET
+) -> tuple[list[tuple[int, int]], int]:
+    """The weak factorization systems (L, R) of ``cat`` as bitmasks over
+    morphism ids, ordered by L, and the number of closure steps taken.
+
+    On a finite category a wfs is a class L = llp(rlp(L)) such that every
+    map factors as r∘l with l ∈ L and r ∈ rlp(L).  The closed classes are
+    reached from close(∅) by closing L ∪ {f} for every closed L and f ∉ L:
+    closure is monotone, so any closed class K is the end of such a chain
+    inside K.  A closed class is identified by its right class, since
+    rlp(close(X)) = rlp(X); each step costs one right-class update and, for
+    a new class, one llp.  Raises :class:`BudgetExceeded` once the steps
+    pass ``budget``.
+    """
+    n = len(cat.morphisms)
+    everything = (1 << n) - 1
+    blocks = [0] * n  # blocks[i]: maps p with some (i, p) square lacking a lift
+    for i, p in unliftable_pairs(cat):
+        blocks[i] |= 1 << p
+
+    def llp(R: int) -> int:
+        return sum(1 << i for i in range(n) if not blocks[i] & R)
+
+    closed = {everything: llp(everything)}  # right class -> left class
+    todo = [everything]
+    steps = 1
+    while todo:
+        R = todo.pop()
+        L = closed[R]
+        for f in range(n):
+            if L >> f & 1:
+                continue
+            steps += 1
+            if steps > budget:
+                raise BudgetExceeded(f"census exceeds the budget of {budget} steps")
+            R2 = R & ~blocks[f]
+            if R2 not in closed:
+                closed[R2] = llp(R2)
+                todo.append(R2)
+
+    factors = _factor_masks(cat)
+    wfs = [
+        (L, R)
+        for R, L in closed.items()
+        if all(any(L & j and R & p for j, p in fp) for fp in factors)
+    ]
+    return sorted(wfs), steps
+
+
+def _pruned_triples(
+    cat: FinCat, budget: int
+) -> tuple[list[tuple[frozenset[int], frozenset[int], frozenset[int]]], int]:
+    """Model structures (W, C, F) from pairs of weak factorization systems
+    (L₁, R₁) = (C∩W, F) and (L₂, R₂) = (C, F∩W) with L₁ ⊆ L₂ and
+    W = R₂∘L₁, and the number of pairs tried."""
+    wfs, steps = weak_factorization_systems(cat, budget)
+    factors = _factor_masks(cat)
+    found = []
+    pairs = 0
+    for L1, R1 in wfs:
+        for L2, R2 in wfs:
+            if L1 & ~L2:
+                continue
+            pairs += 1
+            if steps + pairs > budget:
+                raise BudgetExceeded(f"census exceeds the budget of {budget} steps")
+            W = sum(
+                1 << f
+                for f, fp in enumerate(factors)
+                if any(L1 & j and R2 & p for j, p in fp)
+            )
+            if W & L2 != L1 or W & R1 != R2:
+                continue
+            W_cls = MorphClass(cat, _members(W))
+            if closure_check(W_cls, "two_of_three").passed:
+                found.append((W_cls.members, _members(L2), _members(R1)))
+    return found, pairs
+
+
 def enumerate_model_structures(
     cat: FinCat, mode: str = "pruned", budget: int | None = None
 ) -> CensusResult:
     """All model structures on ``cat``, deduplicated by exact class equality.
 
     Identities are forced into all three classes and isomorphisms into W
-    (both hold in every model structure), so the free choices range over
+    (both hold in every model structure), so the naive choices range over
     the remaining morphisms only.
     """
     if mode not in ("naive", "pruned"):
@@ -63,15 +165,14 @@ def enumerate_model_structures(
     budget = DEFAULT_BUDGET if budget is None else budget
 
     t0 = time.monotonic()
-    ids = cat.identity_set
-    isos = cat.iso_set
-    non_id = [f for f in range(len(cat.morphisms)) if f not in ids]
-    non_iso = [f for f in range(len(cat.morphisms)) if f not in isos]
-
     checked = 0
-    found: dict[tuple, tuple[frozenset[int], frozenset[int], frozenset[int]]] = {}
+    found: list[tuple[frozenset[int], frozenset[int], frozenset[int]]] = []
 
     if mode == "naive":
+        ids = cat.identity_set
+        isos = cat.iso_set
+        non_id = [f for f in range(len(cat.morphisms)) if f not in ids]
+        non_iso = [f for f in range(len(cat.morphisms)) if f not in isos]
         total = 2 ** (len(non_iso) + 2 * len(non_id))
         if total > budget:
             raise BudgetExceeded(
@@ -92,40 +193,22 @@ def enumerate_model_structures(
                         stop_at_first=True,
                     )
                     if report.passed:
-                        found[(W, C, F)] = (W, C, F)
+                        found.append((W, C, F))
     else:
-        for w_extra in _subsets(non_iso):
-            W = MorphClass(cat, isos | w_extra)
-            if not closure_check(W, "two_of_three").passed:
-                continue
-            if not closure_check(W, "retracts").passed:
-                continue
-            for c_extra in _subsets(non_id):
-                C = MorphClass(cat, ids | c_extra)
-                if not closure_check(C, "composition").passed:
-                    continue
-                if not closure_check(C, "retracts").passed:
-                    continue
-                F = lifting_closure(cat, C & W, "rlp")
-                checked += 1
-                report = verify_model_structure(cat, W, C, F, stop_at_first=True)
-                if report.passed:
-                    found[(W.members, C.members, F.members)] = (
-                        W.members,
-                        C.members,
-                        F.members,
-                    )
+        found, checked = _pruned_triples(cat, budget)
 
     structures = tuple(
         ModelStructure.build(
             cat, MorphClass(cat, W), MorphClass(cat, C), MorphClass(cat, F)
         )
-        for W, C, F in sorted(
-            found.values(), key=lambda t: tuple(map(sorted, t))
-        )
+        for W, C, F in sorted(found, key=lambda t: tuple(map(sorted, t)))
     )
     for ms in structures:
-        assert ms.verified, "census structure failed independent re-verification"
+        if not ms.verified:
+            raise TheoremViolationError(
+                "census structure failed independent re-verification: "
+                f"{ms.report.first_failure()}"
+            )
     return CensusResult(cat, mode, structures, checked, time.monotonic() - t0)
 
 
@@ -161,7 +244,8 @@ class ExtensionGraph:
 def extension_graph(census: CensusResult) -> ExtensionGraph:
     """Directed graph of extension relations between census structures,
     labeled with kind and Bousfield flags.  The minimal structure must
-    reach every node through an ll edge; this is asserted."""
+    reach every node through an ll edge; otherwise
+    :class:`TheoremViolationError` is raised."""
     nodes = census.structures
     edges = []
     for i, a in enumerate(nodes):
@@ -176,7 +260,8 @@ def extension_graph(census: CensusResult) -> ExtensionGraph:
     reachable = {
         j for i, j, k in edges if i == mi and k.kind == "ll"
     }
-    assert reachable == set(range(len(nodes))) - {mi}, (
-        "minimal structure does not ll-reach every census structure"
-    )
+    if reachable != set(range(len(nodes))) - {mi}:
+        raise TheoremViolationError(
+            "minimal structure does not ll-reach every census structure"
+        )
     return graph

@@ -1,9 +1,29 @@
 """Enumeration of all model structures, oracle equivalence, extension graph."""
 
+import math
+
 import pytest
 
-from modelcat import InputError, enumerate_extensions, enumerate_model_structures, extension_graph
-from modelcat.census import BudgetExceeded
+from modelcat import (
+    InputError,
+    TheoremViolationError,
+    enumerate_extensions,
+    enumerate_model_structures,
+    extension_graph,
+    from_poset,
+    modelstruct,
+)
+from modelcat import census as census_mod
+from modelcat.catio import fixture_path
+from modelcat.census import BudgetExceeded, weak_factorization_systems
+from modelcat.cli import run
+from modelcat.extend import ExtensionKind
+from modelcat.morphclass import CheckResult
+
+
+def _chain(n):
+    """The total order [n] = {0 < 1 < ... < n} as a thin category."""
+    return from_poset([str(i) for i in range(n + 1)], lambda a, b: int(a) <= int(b))
 
 
 def test_point_census(pt):
@@ -56,6 +76,58 @@ def test_census_rejects_bad_input(retract, arrow):
 def test_budget_guard(bool3):
     with pytest.raises(BudgetExceeded):
         enumerate_model_structures(bool3, "naive", budget=1000)
+
+
+def test_pruned_budget_guard(bool3, capsys, monkeypatch):
+    """The budget bounds closure steps plus pairs tried in pruned mode."""
+    with pytest.raises(BudgetExceeded):
+        enumerate_model_structures(bool3, "pruned", budget=100)
+    monkeypatch.setenv("MCX_BUDGET", "100")
+    assert run(["census", str(fixture_path("bool3.cat"))]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_chain_census_closed_form(n):
+    """[n] carries C(2n+1, n) model structures (Balchin–Ormsby–Osorno–
+    Roitzheim, Model structures on finite total orders)."""
+    result = enumerate_model_structures(_chain(n), "pruned")
+    assert len(result.structures) == math.comb(2 * n + 1, n)
+
+
+@pytest.mark.parametrize("n, catalan", enumerate([1, 2, 5, 14, 42]))
+def test_chain_wfs_are_catalan(n, catalan):
+    """The weak factorization systems on [n] correspond to the transfer
+    systems on [n], counted by Catalan(n + 1) (Balchin–Barnes–Roitzheim,
+    N∞-operads and associahedra)."""
+    wfs, _ = weak_factorization_systems(_chain(n))
+    assert len(wfs) == catalan
+
+
+def test_bool3_census(bool3):
+    result = enumerate_model_structures(bool3, "pruned")
+    assert len(result.structures) == 1026
+    assert all(ms.verified for ms in result.structures)
+
+
+def test_census_consistency_checks_raise(arrow, arrow_census, monkeypatch):
+    """Both census self-checks raise TheoremViolationError, which is not
+    stripped by ``python -O`` the way an assert is."""
+    with monkeypatch.context() as m:
+        m.setattr(
+            modelstruct,
+            "verify_model_structure",
+            lambda *args, **kwargs: modelstruct.AxiomReport(
+                {"two_of_three_W": CheckResult.fail("forced failure")}
+            ),
+        )
+        with pytest.raises(TheoremViolationError):
+            enumerate_model_structures(arrow, "pruned")
+    unrelated = ExtensionKind("other", False, False, False)
+    with monkeypatch.context() as m:
+        m.setattr(census_mod, "classify_extension", lambda base, ext: unrelated)
+        with pytest.raises(TheoremViolationError):
+            extension_graph(arrow_census)
 
 
 def test_enumerate_extensions(arrow, arrow_census, arrow_minimal, diamond_minimal):
