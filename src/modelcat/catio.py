@@ -35,21 +35,32 @@ def parse_category(text: str) -> FinCat:
     objects = data["objects"]
     if not isinstance(objects, list) or not all(isinstance(o, str) for o in objects):
         raise InputError("'objects' must be a list of names")
+    if not isinstance(data["morphisms"], list):
+        raise InputError("'morphisms' must be a list")
     morphisms = []
     for k, m in enumerate(data["morphisms"]):
         if not isinstance(m, dict) or not {"name", "src", "tgt"} <= m.keys():
             raise InputError(f"morphism #{k} needs 'name', 'src' and 'tgt'")
+        for key in ("name", "src", "tgt"):
+            if not isinstance(m[key], str):
+                raise InputError(f"morphism #{k}: {key!r} must be a string")
         morphisms.append((m["name"], m["src"], m["tgt"]))
     identities = data.get("identities", {})
     if not isinstance(identities, dict):
         raise InputError("'identities' must be an object→name map")
-    for o in identities:
+    for o, name in identities.items():
         if o not in objects:
             raise InputError(f"identity entry for unknown object {o!r}")
+        if not isinstance(name, str):
+            raise InputError(f"'identities' entry for {o!r} must be a string")
+    if not isinstance(data.get("compose", []), list):
+        raise InputError("'compose' must be a list of [g, f, gf] entries")
     compositions = {}
     for k, entry in enumerate(data.get("compose", [])):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise InputError(f"compose entry #{k} must be [g, f, gf]")
+        if not all(isinstance(name, str) for name in entry):
+            raise InputError(f"compose entry #{k}: [g, f, gf] must be strings")
         g, f, h = entry
         if (g, f) in compositions:
             raise InputError(f"duplicate compose entry for ({g}, {f})")
@@ -94,7 +105,7 @@ def parse_classes(text: str, cat: FinCat) -> dict[str, MorphClass]:
     data = _load_json(text, "class file")
     out = {}
     for key, names in data.items():
-        if not isinstance(names, list):
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise InputError(f"class {key!r} must be a list of morphism names")
         out[key] = class_from_names(cat, names)
     return out
@@ -142,31 +153,24 @@ def parse_adjunction(text: str, base_dir: Path) -> Adjunction:
     return adj
 
 
-def load_category(path: str | Path) -> FinCat:
-    path = Path(path)
+def _read(path: Path) -> str:
     try:
-        text = path.read_text()
+        return path.read_text()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    return parse_category(text)
+
+
+def load_category(path: str | Path) -> FinCat:
+    return parse_category(_read(Path(path)))
 
 
 def load_classes(path: str | Path, cat: FinCat) -> dict[str, MorphClass]:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from e
-    return parse_classes(text, cat)
+    return parse_classes(_read(Path(path)), cat)
 
 
 def load_adjunction(path: str | Path) -> Adjunction:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from e
-    return parse_adjunction(text, path.parent)
+    return parse_adjunction(_read(path), path.parent)
 
 
 def fixture_path(name: str) -> Path:

@@ -27,7 +27,7 @@ from .morphclass import MorphClass, closure_check, factor_pairs, unliftable_pair
 from .modelstruct import ModelStructure, verify_model_structure
 from .extend import ExtensionKind, TheoremViolationError, classify_extension
 
-DEFAULT_BUDGET = 2**30
+DEFAULT_BUDGET = 2**20
 
 
 class BudgetExceeded(Exception):

@@ -18,8 +18,8 @@ from .fincat import (
     is_finitely_bicomplete,
     validate_category,
 )
-from .morphclass import CheckResult, MorphClass
-from .modelstruct import ModelStructure, minimal_model_structure, verify_model_structure
+from .morphclass import CheckResult
+from .modelstruct import ModelStructure, minimal_model_structure
 from .extend import (
     ExtensionCandidate,
     HypothesisError,
@@ -359,7 +359,7 @@ def run(argv: list[str]) -> int:
     fmt = args.format
     try:
         return args.run(args, fmt)
-    except (InputError, HypothesisError) as e:
+    except (InputError, HypothesisError, MissingLimitError) as e:
         print(json.dumps({"command": args.command, "verdict": "error", "payload": {"reason": str(e)}})
               if fmt == "json" else f"error: {e}", file=sys.stderr)
         return USAGE

@@ -21,29 +21,22 @@ from .fincat import (
 )
 from .morphclass import (
     CheckResult,
+    Factorization,
     MorphClass,
     SquareLiftProblem,
+    TheoremViolationError,
     closure_check,
     combine,
-    enumerate_factorizations,
-    factor_pairs,
+    factors_all,
     find_lift,
-    has_factorization,
+    first_factorization,
     has_lifting,
+    lifting_closure,
     pushout_transfers,
     pullback_transfers,
+    run_checks,
 )
-from .modelstruct import (
-    AxiomReport,
-    ModelStructure,
-    boundary_objects,
-    find_cylinder,
-    verify_model_structure,
-)
-
-
-class TheoremViolationError(AssertionError):
-    """A constructive step contradicted a conclusion its hypotheses promise."""
+from .modelstruct import ModelStructure, boundary_objects, find_cylinder
 
 
 class HypothesisError(Exception):
@@ -134,13 +127,6 @@ def check_thm12(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
                 )
         return CheckResult.ok("W pushout-stability")
 
-    def hyp8() -> CheckResult:
-        left = C_g.members & W_g.members
-        for f in range(len(cat.morphisms)):
-            if not has_factorization(cat, f, left, F_g.members):
-                return CheckResult.fail("no (C_g∩W_g, F_g) factorization", f=f)
-        return CheckResult.ok("factorization")
-
     checks = (
         ("1", lambda: closure_check(W_g, "two_of_three")),
         ("2", lambda: combine(
@@ -156,15 +142,12 @@ def check_thm12(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
         ("5", hyp5),
         ("6", hyp6),
         ("7", lambda: has_lifting(MorphClass(cat, C_g.members & W_g.members), F_g)),
-        ("8", hyp8),
+        ("8", lambda: factors_all(
+            cat, C_g.members & W_g.members, F_g.members,
+            "no (C_g∩W_g, F_g) factorization",
+        )),
     )
-    verdicts: dict[str, CheckResult] = {}
-    for name, run in checks:
-        result = run()
-        verdicts[name] = result
-        if stop_at_first and not result.passed:
-            break
-    return HypothesisReport("1.2", verdicts)
+    return HypothesisReport("1.2", run_checks(checks, stop_at_first))
 
 
 def check_thm15(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
@@ -200,12 +183,6 @@ def check_thm17(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
     W_g, C_g, F_g = cand.W_g, cand.C_g, cand.F_g
     trivfib_g = MorphClass(cat, F_g.members & W_g.members)
 
-    def hyp5() -> CheckResult:
-        for f in range(len(cat.morphisms)):
-            if not has_factorization(cat, f, C_g.members, trivfib_g.members):
-                return CheckResult.fail("no (C_g, F_g∩W_g) factorization", f=f)
-        return CheckResult.ok("factorization")
-
     checks = (
         ("1", lambda: closure_check(W_g, "two_of_three")),
         ("2", lambda: combine(
@@ -218,16 +195,12 @@ def check_thm17(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
             closure_check(F_g, "pullbacks"),
         )),
         ("4", lambda: has_lifting(C_g, trivfib_g)),
-        ("5", hyp5),
+        ("5", lambda: factors_all(
+            cat, C_g.members, trivfib_g.members, "no (C_g, F_g∩W_g) factorization"
+        )),
         ("6", lambda: check_properness(base, "right")),
     )
-    verdicts: dict[str, CheckResult] = {}
-    for name, run in checks:
-        result = run()
-        verdicts[name] = result
-        if stop_at_first and not result.passed:
-            break
-    return HypothesisReport("1.7", verdicts)
+    return HypothesisReport("1.7", run_checks(checks, stop_at_first))
 
 
 def build_extension(cand: ExtensionCandidate) -> ModelStructure:
@@ -252,9 +225,6 @@ def build_extension(cand: ExtensionCandidate) -> ModelStructure:
     return ms
 
 
-build_ll_extension = build_extension
-
-
 # -- Lemma: constructive lift of cofibrations against trivial fibrations
 
 
@@ -268,15 +238,8 @@ def lemma11_assumptions(
             closure_check(C, "composition"), closure_check(C, "pushouts")
         ),
         "3": has_lifting(trivcof, F),
-        "4": _factorizes_all(cat, C.members, F.members & W.members),
+        "4": factors_all(cat, C.members, F.members & W.members, "no factorization"),
     }
-
-
-def _factorizes_all(cat: FinCat, left: frozenset[int], right: frozenset[int]) -> CheckResult:
-    for f in range(len(cat.morphisms)):
-        if not has_factorization(cat, f, left, right):
-            return CheckResult.fail("no factorization", f=f)
-    return CheckResult.ok("factorization")
 
 
 def lemma11_lift(
@@ -305,10 +268,7 @@ def lemma11_lift(
     i, q, top, bottom = square.i, square.p, square.top, square.bottom
 
     # top: A→X = q1∘j1 with j1 ∈ C, q1 ∈ F∩W
-    j1, q1 = next(
-        (j, p) for j, p in factor_pairs(cat, top)
-        if j in C.members and p in trivfib
-    )
+    j1, q1 = first_factorization(cat, top, C.members, trivfib)
     po = colimit(cat, ("pushout", j1, i))
     if not po.exists:
         raise MissingLimitError("pushout needed by the lemma is missing")
@@ -316,10 +276,7 @@ def lemma11_lift(
 
     # canonical map E→Y induced by (q∘q1, bottom)
     e_to_y = po.mediators[(cat.tgt(q), (cat.comp(q, q1), bottom))]
-    j2, q2 = next(
-        (j, p) for j, p in factor_pairs(cat, e_to_y)
-        if j in C.members and p in trivfib
-    )
+    j2, q2 = first_factorization(cat, e_to_y, C.members, trivfib)
     j = cat.comp(j2, leg_d)  # D→F, lands in C∩W
     if j not in C.members or j not in W.members:
         raise TheoremViolationError("constructed map failed C∩W membership")
@@ -329,9 +286,8 @@ def lemma11_lift(
     if ell is None:
         raise TheoremViolationError("assumption (3) lift does not exist")
     h = cat.comp(ell, cat.comp(j2, leg_b))
-    assert cat.comp(h, i) == top and cat.comp(q, h) == bottom, (
-        "constructive lift does not commute"
-    )
+    if cat.comp(h, i) != top or cat.comp(q, h) != bottom:
+        raise TheoremViolationError("constructive lift does not commute")
     return h
 
 
@@ -444,15 +400,15 @@ def cofibrant_approximation_square(base: ModelStructure, f: int) -> CofApproxSqu
     """Replace the endpoints of f by cofibrant objects using base
     (C, F∩W) factorizations of the point maps, and lift to fill the square."""
     cat = base.cat
-    trivfib = MorphClass(cat, base.F.members & base.W.members)
+    trivfib = base.F.members & base.W.members
     x, y = cat.src(f), cat.tgt(f)
 
     def replace(obj: int) -> tuple[int, int]:
         pt = point_from_initial(cat, obj)
-        facts = enumerate_factorizations(cat, pt, base.C, trivfib)
-        if not facts:
+        pair = first_factorization(cat, pt, base.C.members, trivfib)
+        if pair is None:
             raise HypothesisError("base factorization axiom failed on a point map")
-        return facts[0].left, facts[0].right
+        return pair
 
     cx, u = replace(x)
     cy, v = replace(y)
@@ -470,8 +426,6 @@ def factor_c_then_trivfib(cand: ExtensionCandidate, f: int):
     via cofibrant approximation, mapping cylinder, pushout, and one
     (C_g∩W_g, F_g) factorization.  Returns (Factorization, CofApproxSquare,
     MappingCylinder)."""
-    from .morphclass import Factorization
-
     base, cat = cand.base, cand.base.cat
     x, y = cat.src(f), cat.tgt(f)
 
@@ -484,14 +438,8 @@ def factor_c_then_trivfib(cand: ExtensionCandidate, f: int):
     leg_m, leg_x = po.legs  # M→D, X→D
     d_to_y = po.mediators[(y, (cat.comp(approx.v, mc.p_g), f))]
 
-    trivcof_g = cand.C_g.members & cand.W_g.members
-    pair = next(
-        (
-            (j, p)
-            for j, p in factor_pairs(cat, d_to_y)
-            if j in trivcof_g and p in cand.F_g.members
-        ),
-        None,
+    pair = first_factorization(
+        cat, d_to_y, cand.C_g.members & cand.W_g.members, cand.F_g.members
     )
     if pair is None:
         raise HypothesisError("hypothesis (8) factorization unavailable")
@@ -512,18 +460,17 @@ def factor_c_then_trivfib(cand: ExtensionCandidate, f: int):
 def check_properness(ms: ModelStructure, side: str) -> CheckResult:
     """left: pushouts of weak equivalences along cofibrations stay weak
     equivalences; right dual."""
-    cat = ms.cat
     if side == "left":
-        for f, g, fp in pushout_transfers(cat):
-            if f in ms.W.members and g in ms.C.members and fp not in ms.W.members:
-                return CheckResult.fail("not left proper", f=f, along=g, transfer=fp)
-        return CheckResult.ok("left proper")
-    if side == "right":
-        for f, g, fp in pullback_transfers(cat):
-            if f in ms.W.members and g in ms.F.members and fp not in ms.W.members:
-                return CheckResult.fail("not right proper", f=f, along=g, transfer=fp)
-        return CheckResult.ok("right proper")
-    raise InputError("side must be 'left' or 'right'")
+        transfers, along = pushout_transfers, ms.C.members
+    elif side == "right":
+        transfers, along = pullback_transfers, ms.F.members
+    else:
+        raise InputError("side must be 'left' or 'right'")
+    W = ms.W.members
+    for f, g, fp in transfers(ms.cat):
+        if f in W and g in along and fp not in W:
+            return CheckResult.fail(f"not {side} proper", f=f, along=g, transfer=fp)
+    return CheckResult.ok(f"{side} proper")
 
 
 def prop14_build(
@@ -532,8 +479,6 @@ def prop14_build(
     """Derive F_g and C_g from lifting properties against C∩W' and check the
     four hypotheses of the lifting-derived variation; on a full pass the
     triple is additionally verified as a model structure."""
-    from .morphclass import lifting_closure
-
     cat = base.cat
     if not (base.W.members <= W_prime.members <= W_g.members):
         raise HypothesisError("need W ⊆ W' ⊆ W_g")
@@ -548,8 +493,10 @@ def prop14_build(
         "2": combine(
             closure_check(W_prime, "retracts"), closure_check(W_g, "retracts")
         ),
-        "3": _factorizes_all(cat, base.C.members & W_prime.members, F_g.members),
-        "4": _factorizes_all(cat, C_g.members, F_g.members & W_g.members),
+        "3": factors_all(
+            cat, base.C.members & W_prime.members, F_g.members, "no factorization"
+        ),
+        "4": factors_all(cat, C_g.members, F_g.members & W_g.members, "no factorization"),
     }
     report = HypothesisReport("1.4", verdicts)
     if not report.passed:

@@ -68,10 +68,6 @@ class ConeResult:
         return self.apex is not None
 
 
-ColimitResult = ConeResult
-LimitResult = ConeResult
-
-
 @dataclass(frozen=True)
 class FinCat:
     """A finite category: objects, morphisms and a total composition table.

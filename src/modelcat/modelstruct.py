@@ -2,29 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .fincat import (
     FinCat,
     InputError,
     MissingLimitError,
-    colimit,
     diagonal_map,
     fold_map,
     is_finitely_bicomplete,
-    limit,
     point_from_initial,
     point_to_terminal,
 )
 from .morphclass import (
     CheckResult,
     MorphClass,
+    TheoremViolationError,
     closure_check,
-    combine,
-    factor_pairs,
-    has_factorization,
+    factorizations,
+    factors_all,
+    first_factorization,
     has_lifting,
+    run_checks,
 )
 
 AXIOM_NAMES = (
@@ -69,31 +68,18 @@ def verify_model_structure(
     """
     trivcof = W.members & C.members
     trivfib = W.members & F.members
-
-    def checks():
-        yield "two_of_three_W", lambda: closure_check(W, "two_of_three")
-        yield "retracts_W", lambda: closure_check(W, "retracts")
-        yield "retracts_C", lambda: closure_check(C, "retracts")
-        yield "retracts_F", lambda: closure_check(F, "retracts")
-        yield "lift_trivcof_fib", lambda: has_lifting(MorphClass(cat, trivcof), F)
-        yield "lift_cof_trivfib", lambda: has_lifting(C, MorphClass(cat, trivfib))
-        yield "factor_trivcof_fib", lambda: _factor_check(cat, trivcof, F.members)
-        yield "factor_cof_trivfib", lambda: _factor_check(cat, C.members, trivfib)
-
-    out: dict[str, CheckResult] = {}
-    for name, run in checks():
-        result = run()
-        out[name] = result
-        if stop_at_first and not result.passed:
-            break
-    return AxiomReport(out)
-
-
-def _factor_check(cat: FinCat, left: frozenset[int], right: frozenset[int]) -> CheckResult:
-    for f in range(len(cat.morphisms)):
-        if not has_factorization(cat, f, left, right):
-            return CheckResult.fail("morphism admits no factorization", f=f)
-    return CheckResult.ok("factorization")
+    no_factorization = "morphism admits no factorization"
+    checks = (
+        ("two_of_three_W", lambda: closure_check(W, "two_of_three")),
+        ("retracts_W", lambda: closure_check(W, "retracts")),
+        ("retracts_C", lambda: closure_check(C, "retracts")),
+        ("retracts_F", lambda: closure_check(F, "retracts")),
+        ("lift_trivcof_fib", lambda: has_lifting(MorphClass(cat, trivcof), F)),
+        ("lift_cof_trivfib", lambda: has_lifting(C, MorphClass(cat, trivfib))),
+        ("factor_trivcof_fib", lambda: factors_all(cat, trivcof, F.members, no_factorization)),
+        ("factor_cof_trivfib", lambda: factors_all(cat, C.members, trivfib, no_factorization)),
+    )
+    return AxiomReport(run_checks(checks, stop_at_first))
 
 
 @dataclass(frozen=True)
@@ -127,7 +113,7 @@ def minimal_model_structure(cat: FinCat) -> ModelStructure:
         cat, MorphClass.isos(cat), MorphClass.all_maps(cat), MorphClass.all_maps(cat)
     )
     if not ms.verified:
-        raise AssertionError(
+        raise TheoremViolationError(
             f"minimal structure failed verification: {ms.report.first_failure()}"
         )
     return ms
@@ -176,22 +162,20 @@ def find_cylinder(
     parts land in the given classes; for the path side pass (W, F) and the
     factorization read is diagonal = (right part)∘(left part)."""
     if side == "cylinder":
-        cp, fold = fold_map(cat, x)
-        for j, p in factor_pairs(cat, fold):
-            if j in left.members and p in right.members:
-                return CylinderObject(
-                    "cylinder", x, cat.tgt(j), j, p, cp.apex, (cp.legs[0], cp.legs[1])
-                )
+        power, f = fold_map(cat, x)
+    elif side == "path":
+        power, f = diagonal_map(cat, x)
+    else:
+        raise InputError("side must be 'cylinder' or 'path'")
+    pair = first_factorization(cat, f, left.members, right.members)
+    if pair is None:
         return None
-    if side == "path":
-        pr, diag = diagonal_map(cat, x)
-        for s, q in factor_pairs(cat, diag):
-            if s in left.members and q in right.members:
-                return CylinderObject(
-                    "path", x, cat.tgt(s), q, s, pr.apex, (pr.legs[0], pr.legs[1])
-                )
-        return None
-    raise InputError("side must be 'cylinder' or 'path'")
+    j, p = pair
+    structure_map, collapse = (j, p) if side == "cylinder" else (p, j)
+    return CylinderObject(
+        side, x, cat.tgt(j), structure_map, collapse, power.apex,
+        (power.legs[0], power.legs[1]),
+    )
 
 
 # -- homotopy category --------------------------------------------------
@@ -218,22 +202,15 @@ class HoCategory:
         return self.cls_of(cat.comp(g, f))
 
 
-def _all_cylinders(ms: ModelStructure, x: int):
-    """Every (C, W) factorization of the fold map of x."""
-    cat = ms.cat
-    cp, fold = fold_map(cat, x)
-    for j, p in factor_pairs(cat, fold):
-        if j in ms.C.members and p in ms.W.members:
-            yield cp, j, p
-
-
 def left_homotopic(ms: ModelStructure, f: int, g: int) -> bool:
     """f ~ g via some cylinder object of the shared source."""
     cat = ms.cat
     if cat.src(f) != cat.src(g) or cat.tgt(f) != cat.tgt(g):
         raise InputError("morphisms must be parallel")
     x, y = cat.src(f), cat.tgt(f)
-    for cp, j, p in _all_cylinders(ms, x):
+    cp, fold = fold_map(cat, x)
+    # every cylinder of x: a (C, W) factorization of the fold map
+    for j, p in factorizations(cat, fold, ms.C.members, ms.W.members):
         i0 = cat.comp(j, cp.legs[0])
         i1 = cat.comp(j, cp.legs[1])
         for h in cat.hom(cat.tgt(j), y):
@@ -247,13 +224,12 @@ def right_homotopic(ms: ModelStructure, f: int, g: int) -> bool:
     cat = ms.cat
     x, y = cat.src(f), cat.tgt(f)
     pr, diag = diagonal_map(cat, y)
-    for s, q in factor_pairs(cat, diag):
-        if s in ms.W.members and q in ms.F.members:
-            p0 = cat.comp(pr.legs[0], q)
-            p1 = cat.comp(pr.legs[1], q)
-            for h in cat.hom(x, cat.tgt(s)):
-                if cat.table[p0][h] == f and cat.table[p1][h] == g:
-                    return True
+    for s, q in factorizations(cat, diag, ms.W.members, ms.F.members):
+        p0 = cat.comp(pr.legs[0], q)
+        p1 = cat.comp(pr.legs[1], q)
+        for h in cat.hom(x, cat.tgt(s)):
+            if cat.table[p0][h] == f and cat.table[p1][h] == g:
+                return True
     return False
 
 
@@ -261,8 +237,8 @@ def homotopy_category(ms: ModelStructure) -> HoCategory:
     """Objects: cofibrant-fibrant objects; homs: left-homotopy classes.
 
     A verified model structure guarantees the relation is an equivalence
-    compatible with composition; this is asserted, and any violation is
-    surfaced as an internal consistency failure.
+    compatible with composition; this is checked, and any violation is
+    raised as :class:`TheoremViolationError`.
     """
     if not ms.verified:
         raise InputError("homotopy category requires a verified model structure")
@@ -279,15 +255,18 @@ def homotopy_category(ms: ModelStructure) -> HoCategory:
                 (f, g): left_homotopic(ms, f, g) for f in maps for g in maps
             }
             for f in maps:
-                assert rel[(f, f)], "homotopy relation not reflexive"
+                if not rel[(f, f)]:
+                    raise TheoremViolationError("homotopy relation not reflexive")
                 for g in maps:
-                    assert rel[(f, g)] == rel[(g, f)], "homotopy relation not symmetric"
-                    assert rel[(f, g)] == right_homotopic(ms, f, g), (
-                        "left/right homotopy disagree on cofibrant-fibrant objects"
-                    )
+                    if rel[(f, g)] != rel[(g, f)]:
+                        raise TheoremViolationError("homotopy relation not symmetric")
+                    if rel[(f, g)] != right_homotopic(ms, f, g):
+                        raise TheoremViolationError(
+                            "left/right homotopy disagree on cofibrant-fibrant objects"
+                        )
                     for h in maps:
-                        if rel[(f, g)] and rel[(g, h)]:
-                            assert rel[(f, h)], "homotopy relation not transitive"
+                        if rel[(f, g)] and rel[(g, h)] and not rel[(f, h)]:
+                            raise TheoremViolationError("homotopy relation not transitive")
             classes: list[frozenset[int]] = []
             seen: set[int] = set()
             for f in maps:
@@ -304,8 +283,12 @@ def homotopy_category(ms: ModelStructure) -> HoCategory:
         if a in obj_set and b in obj_set and c in obj_set:
             for f2 in cat.hom(a, b):
                 for g2 in cat.hom(b, c):
-                    if left_homotopic(ms, f, f2) and left_homotopic(ms, g, g2):
-                        assert left_homotopic(ms, gf, cat.comp(g2, f2)), (
+                    if (
+                        left_homotopic(ms, f, f2)
+                        and left_homotopic(ms, g, g2)
+                        and not left_homotopic(ms, gf, cat.comp(g2, f2))
+                    ):
+                        raise TheoremViolationError(
                             "composition not well-defined on homotopy classes"
                         )
     return HoCategory(ms, objs, homs)

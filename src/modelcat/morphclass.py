@@ -5,14 +5,25 @@ they double as the oracles for the constructive proofs in
 :mod:`modelcat.extend`.  Expensive enumerations (commuting squares with
 no lift, retract pairs, pushout transfers, factorization pairs) are
 computed once per category and cached on ``cat.scratch``.
+
+The searches shared by the axiom and hypothesis lists live here once:
+:func:`factorizations` (the only class-membership filter of the
+factorization pairs), :func:`factors_all` ("every map factors through
+(left, right)") and :func:`run_checks` (named checks in order, optionally
+stopping at the first failure).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Container, Iterable, Iterator
 
-from .fincat import FinCat, InputError, colimit, limit, opposite
+from .fincat import FinCat, InputError, colimit, opposite
+
+
+class TheoremViolationError(AssertionError):
+    """A constructive step or a consistency check contradicted a conclusion
+    that its hypotheses (or the model-structure axioms) promise."""
 
 
 @dataclass(frozen=True)
@@ -102,6 +113,20 @@ def combine(*checks: CheckResult) -> CheckResult:
         if not c.passed:
             return c
     return CheckResult.ok("; ".join(c.description for c in checks if c.description))
+
+
+def run_checks(
+    checks: Iterable[tuple[str, Callable[[], CheckResult]]], stop_at_first: bool
+) -> dict[str, CheckResult]:
+    """Run named checks in order; with ``stop_at_first`` the result ends
+    at the first failure (used by the exhaustive scans)."""
+    out: dict[str, CheckResult] = {}
+    for name, run in checks:
+        result = run()
+        out[name] = result
+        if stop_at_first and not result.passed:
+            break
+    return out
 
 
 @dataclass(frozen=True)
@@ -331,21 +356,36 @@ def closure_check(cls: MorphClass, property: str) -> CheckResult:
                     "two-of-three fails", f=f, g=g, composite=gf
                 )
         return CheckResult.ok("two_of_three")
-    if property == "pushouts":
-        for f, g, fp in pushout_transfers(cat):
+    if property in ("pushouts", "pullbacks"):
+        transfers = pushout_transfers if property == "pushouts" else pullback_transfers
+        for f, g, fp in transfers(cat):
             if f in mem and fp not in mem:
                 return CheckResult.fail(
-                    "not closed under pushouts", f=f, along=g, transfer=fp
+                    f"not closed under {property}", f=f, along=g, transfer=fp
                 )
-        return CheckResult.ok("pushouts")
-    if property == "pullbacks":
-        for f, g, fp in pullback_transfers(cat):
-            if f in mem and fp not in mem:
-                return CheckResult.fail(
-                    "not closed under pullbacks", f=f, along=g, transfer=fp
-                )
-        return CheckResult.ok("pullbacks")
+        return CheckResult.ok(property)
     raise InputError(f"unknown closure property {property!r}")
+
+
+def factorizations(
+    cat: FinCat, f: int, left: Container[int], right: Container[int]
+) -> Iterator[tuple[int, int]]:
+    """Every (j, p) with p∘j = f, j ∈ left and p ∈ right, in the scan order
+    of :func:`factor_pairs`.  The classes are any containers of morphism
+    ids; hot callers pass the ``members`` frozensets."""
+    return ((j, p) for j, p in factor_pairs(cat, f) if j in left and p in right)
+
+
+def first_factorization(
+    cat: FinCat, f: int, left: Container[int], right: Container[int]
+) -> tuple[int, int] | None:
+    return next(factorizations(cat, f, left, right), None)
+
+
+def has_factorization(
+    cat: FinCat, f: int, left: Container[int], right: Container[int]
+) -> bool:
+    return first_factorization(cat, f, left, right) is not None
 
 
 def enumerate_factorizations(
@@ -354,13 +394,16 @@ def enumerate_factorizations(
     """All factorizations f = p∘j with j ∈ left and p ∈ right, in scan order."""
     return [
         Factorization(cat, f, j, cat.tgt(j), p)
-        for j, p in factor_pairs(cat, f)
-        if j in left.members and p in right.members
+        for j, p in factorizations(cat, f, left.members, right.members)
     ]
 
 
-def has_factorization(
-    cat: FinCat, f: int, left: frozenset[int], right: frozenset[int]
-) -> bool:
-    """Non-emptiness shortcut used by the hypothesis checkers."""
-    return any(j in left and p in right for j, p in factor_pairs(cat, f))
+def factors_all(
+    cat: FinCat, left: Container[int], right: Container[int], description: str
+) -> CheckResult:
+    """Pass iff every morphism factors as p∘j with j ∈ left and p ∈ right;
+    on failure the least such morphism is the witness ``f``."""
+    for f in range(len(cat.morphisms)):
+        if not has_factorization(cat, f, left, right):
+            return CheckResult.fail(description, f=f)
+    return CheckResult.ok("factorization")

@@ -5,13 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fincat import FinCat, InputError, point_from_initial, point_to_terminal
-from .morphclass import (
-    CheckResult,
-    MorphClass,
-    SquareLiftProblem,
-    enumerate_factorizations,
-    find_lift,
-)
+from .morphclass import CheckResult, TheoremViolationError, first_factorization
 from .modelstruct import ModelStructure, boundary_objects
 
 
@@ -141,8 +135,8 @@ def is_quillen_pair(
     adj: Adjunction, msM: ModelStructure, msN: ModelStructure
 ) -> CheckResult:
     """Pass iff S preserves cofibrations and trivial cofibrations; the
-    classically equivalent right-hand condition on T is computed as well
-    and the two are asserted to agree."""
+    classically equivalent right-hand condition on T is computed as well,
+    and a disagreement raises :class:`TheoremViolationError`."""
     issues = validate_adjunction(adj)
     if issues:
         raise InputError(f"invalid adjunction: {issues[0]}")
@@ -169,30 +163,31 @@ def is_quillen_pair(
             right = CheckResult.fail("T does not preserve trivial fibrations", f=f)
             break
 
-    assert left.passed == right.passed, (
-        "left and right Quillen-pair conditions disagree"
-    )
+    if left.passed != right.passed:
+        raise TheoremViolationError("left and right Quillen-pair conditions disagree")
     return left
 
 
 def _cofibrant_approx_map(ms: ModelStructure, x: int) -> int:
     """Canonical C̃x → x from the first (C, F∩W) factorization of ∅→x."""
     cat = ms.cat
-    trivfib = MorphClass(cat, ms.F.members & ms.W.members)
-    facts = enumerate_factorizations(cat, point_from_initial(cat, x), ms.C, trivfib)
-    if not facts:
+    pair = first_factorization(
+        cat, point_from_initial(cat, x), ms.C.members, ms.F.members & ms.W.members
+    )
+    if pair is None:
         raise InputError("no cofibrant approximation available")
-    return facts[0].right
+    return pair[1]
 
 
 def _fibrant_approx_map(ms: ModelStructure, x: int) -> int:
     """Canonical x → F̃x from the first (C∩W, F) factorization of x→∗."""
     cat = ms.cat
-    trivcof = MorphClass(cat, ms.C.members & ms.W.members)
-    facts = enumerate_factorizations(cat, point_to_terminal(cat, x), trivcof, ms.F)
-    if not facts:
+    pair = first_factorization(
+        cat, point_to_terminal(cat, x), ms.C.members & ms.W.members, ms.F.members
+    )
+    if pair is None:
         raise InputError("no fibrant approximation available")
-    return facts[0].left
+    return pair[0]
 
 
 def derived_fullfaithful_check(

@@ -110,6 +110,14 @@ def test_bool3_census(bool3):
     assert all(ms.verified for ms in result.structures)
 
 
+def test_default_budget_refuses_bool4():
+    """The 16-element Boolean lattice is refused under the default budget
+    (about two seconds of closure steps), not after half an hour."""
+    bool4 = from_poset([str(k) for k in range(16)], lambda a, b: int(a) & ~int(b) == 0)
+    with pytest.raises(BudgetExceeded):
+        enumerate_model_structures(bool4)
+
+
 def test_census_consistency_checks_raise(arrow, arrow_census, monkeypatch):
     """Both census self-checks raise TheoremViolationError, which is not
     stripped by ``python -O`` the way an assert is."""

@@ -1,8 +1,14 @@
 """CLI exit-code contract, report payloads, and file round-trips."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelcat import load_fixture, parse_category, serialize_category
 from modelcat.catio import fixture_path, load_classes, serialize_classes
@@ -226,7 +232,202 @@ def test_validate_fail(capsys, tmp_path):
     assert kinds == {"missing-composite"}
 
 
+def _write_classes(path, cat, **names):
+    """A class file whose classes are given by morphism names; ``"all"``
+    stands for every morphism and ``"ids"`` for the identities."""
+    shorthand = {
+        "all": MorphClass.all_maps(cat).names(),
+        "ids": MorphClass.identities(cat).names(),
+    }
+    path.write_text(
+        json.dumps({k: list(shorthand[v] if isinstance(v, str) else v)
+                    for k, v in names.items()})
+    )
+    return str(path)
+
+
+def test_verify_fail_pins_factorization_description(capsys, tmp_path):
+    cat = load_fixture("arrow.cat")
+    triple = _write_classes(tmp_path / "t.classes", cat, W="ids", C="all", F="ids")
+    code, report = _json_run(capsys, ["verify", FIX["arrow.cat"], triple])
+    assert code == 1
+    assert report["payload"]["factor_trivcof_fib"] == {
+        "passed": False,
+        "description": "morphism admits no factorization",
+        "witness": {"f": "f"},
+    }
+
+
+def _extend(capsys, theorem, category, base, candidate):
+    argv = ["extend", category, "--theorem", theorem, "--base", base, "--candidate", candidate]
+    return _json_run(capsys, argv)
+
+
+def test_thm12_pins_hypothesis_8_description(capsys, tmp_path):
+    cat = load_fixture("arrow.cat")
+    cand = _write_classes(tmp_path / "c.classes", cat, W="ids", C="all", F="ids")
+    code, report = _extend(capsys, "1.2", FIX["arrow.cat"], FIX["arrow_minimal.classes"], cand)
+    assert code == 1
+    assert report["payload"]["hypotheses"]["8"] == {
+        "passed": False,
+        "description": "no (C_g∩W_g, F_g) factorization",
+        "witness": {"f": "f"},
+    }
+
+
+def test_thm17_pins_hypothesis_5_description(capsys, tmp_path):
+    cat = load_fixture("arrow.cat")
+    cand = _write_classes(tmp_path / "c.classes", cat, W="ids", C="ids", F="all")
+    code, report = _extend(capsys, "1.7", FIX["arrow.cat"], FIX["arrow_minimal.classes"], cand)
+    assert code == 1
+    assert report["payload"]["hypotheses"]["5"] == {
+        "passed": False,
+        "description": "no (C_g, F_g∩W_g) factorization",
+        "witness": {"f": "f"},
+    }
+
+
+def test_thm12_pins_pushout_closure_message(capsys, tmp_path):
+    cat = load_fixture("arrow.cat")
+    cand = _write_classes(tmp_path / "c.classes", cat, W="all", C=["id_0", "f"], F="all")
+    code, report = _extend(capsys, "1.2", FIX["arrow.cat"], FIX["arrow_minimal.classes"], cand)
+    assert code == 1
+    assert report["payload"]["hypotheses"]["3"] == {
+        "passed": False,
+        "description": "not closed under pushouts",
+        "witness": {"f": "id_0", "along": "f", "transfer": "id_1"},
+    }
+
+
+def test_thm17_pins_pullback_closure_message(capsys, tmp_path):
+    cat = load_fixture("diamond.cat")
+    base = _write_classes(tmp_path / "b.classes", cat, W="all", C="all", F="ids")
+    ids = list(MorphClass.identities(cat).names())
+    cand = _write_classes(tmp_path / "c.classes", cat, W="all", C="all", F=ids + ["a_top"])
+    code, report = _extend(capsys, "1.7", FIX["diamond.cat"], base, cand)
+    assert code == 1
+    assert report["payload"]["hypotheses"]["3"] == {
+        "passed": False,
+        "description": "not closed under pullbacks",
+        "witness": {"f": "a_top", "along": "b_top", "transfer": "bot_b"},
+    }
+
+
+def test_properness_fail_pins_message(capsys, tmp_path):
+    cat = load_fixture("diamond.cat")
+    ids = list(MorphClass.identities(cat).names())
+    rest = ["bot_b", "a_top", "b_top", "bot_top"]
+    triple = _write_classes(
+        tmp_path / "t.classes", cat, W=ids + ["bot_a"], C=ids + rest, F="all"
+    )
+    code, report = _json_run(
+        capsys, ["properness", FIX["diamond.cat"], triple, "--side", "left"]
+    )
+    assert code == 1
+    assert report["payload"] == {
+        "passed": False,
+        "description": "not left proper",
+        "witness": {"f": "bot_a", "along": "bot_b", "transfer": "b_top"},
+    }
+
+
 # -- exit code 2: input and usage errors --------------------------------
+
+
+def test_missing_limit_exits_2(capsys, tmp_path):
+    """Thm 1.2 on the non-bicomplete retract category needs a coproduct
+    that does not exist: a usage error, not a crash."""
+    cat = load_fixture("retract.cat")
+    isos = list(MorphClass.isos(cat).names())
+    base = _write_classes(tmp_path / "b.classes", cat, W=isos, C="all", F="all")
+    cand = _write_classes(tmp_path / "c.classes", cat, W="all", C="all", F="ids")
+    assert run(["extend", FIX["retract.cat"], "--theorem", "1.2",
+                "--base", base, "--candidate", cand]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+ARROW = {
+    "objects": ["0", "1"],
+    "morphisms": [{"name": "f", "src": "0", "tgt": "1"}],
+    "identities": {"0": "id_0"},
+    "compose": [["id_1", "f", "f"]],
+}
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda d: d["morphisms"][0].update(name=["f"]), "'name'"),
+        (lambda d: d["morphisms"][0].update(src=0), "'src'"),
+        (lambda d: d["morphisms"][0].update(tgt=None), "'tgt'"),
+        (lambda d: d["identities"].update({"0": {}}), "'identities'"),
+        (lambda d: d["compose"][0].__setitem__(1, []), "compose"),
+        (lambda d: d.update(morphisms=5), "'morphisms'"),
+        (lambda d: d.update(compose=5), "'compose'"),
+    ],
+    ids=["name", "src", "tgt", "identities", "compose", "morphisms-list", "compose-list"],
+)
+def test_ill_typed_category_field(capsys, tmp_path, mutate, field):
+    data = json.loads(json.dumps(ARROW))
+    mutate(data)
+    path = tmp_path / "typed.cat"
+    path.write_text(json.dumps(data))
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+def test_ill_typed_class_member(capsys, tmp_path):
+    path = tmp_path / "typed.classes"
+    path.write_text(json.dumps({"W": [["id_0"]], "C": ["id_0"], "F": ["id_0"]}))
+    assert run(["verify", FIX["arrow.cat"], str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "class 'W' must be a list of morphism names" in err
+
+
+def _string_paths(value, path=()):
+    """Paths to every string leaf of a JSON value (dict keys excluded)."""
+    if isinstance(value, str):
+        yield path
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            yield from _string_paths(v, path + (k,))
+    elif isinstance(value, list):
+        for k, v in enumerate(value):
+            yield from _string_paths(v, path + (k,))
+
+
+CATEGORY_JSON = {
+    name: json.loads(Path(FIX[name]).read_text())
+    for name in FIX
+    if name.endswith(".cat")
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CATEGORY_JSON)),
+    pick=st.integers(min_value=0),
+    replacement=st.sampled_from([[], 0, None, {}]),
+)
+def test_validate_exit_contract_under_type_mutation(name, pick, replacement):
+    """Replacing any one string of a category file by a non-string gives
+    an exit code of the 0/1/2 contract, never an uncaught exception."""
+    data = json.loads(json.dumps(CATEGORY_JSON[name]))
+    paths = list(_string_paths(data))
+    *parents, last = paths[pick % len(paths)]
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = replacement
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run(["validate", str(path)])
+    assert code in (0, 1, 2)
 
 
 def test_unknown_subcommand(capsys):

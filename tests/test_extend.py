@@ -12,7 +12,7 @@ from modelcat import (
     MorphClass,
     SquareLiftProblem,
     boundary_objects,
-    build_ll_extension,
+    build_extension,
     check_invariance,
     check_properness,
     check_thm12,
@@ -134,7 +134,7 @@ def test_build_extension(diamond, diamond_minimal, diamond_census):
     for ms in diamond_census.structures:
         cand = ExtensionCandidate(diamond_minimal, ms.W, ms.C, ms.F)
         if check_thm12(cand, stop_at_first=True).passed:
-            ext = build_ll_extension(cand)
+            ext = build_extension(cand)
             assert ext.verified
             assert ext.triple() == ms.triple()
             built += 1
@@ -146,7 +146,7 @@ def test_build_extension(diamond, diamond_minimal, diamond_census):
         MorphClass.all_maps(diamond),
     )
     with pytest.raises(HypothesisError):
-        build_ll_extension(bad)
+        build_extension(bad)
 
 
 def test_thm15_matches_dual_check(diamond, diamond_minimal, diamond_census):

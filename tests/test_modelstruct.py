@@ -13,7 +13,9 @@ from modelcat import (
     minimal_model_structure,
     verify_model_structure,
 )
+from modelcat import modelstruct
 from modelcat.modelstruct import AXIOM_NAMES, left_homotopic, right_homotopic
+from modelcat.morphclass import TheoremViolationError
 
 
 def _mid(cat, name):
@@ -173,3 +175,11 @@ def test_homotopy_category_requires_verified(diamond):
     )
     with pytest.raises(InputError):
         homotopy_category(ms)
+
+
+def test_homotopy_category_raises_when_homotopies_disagree(diamond_minimal, monkeypatch):
+    """The consistency checks raise TheoremViolationError, which survives
+    ``python -O``, instead of asserting."""
+    monkeypatch.setattr(modelstruct, "right_homotopic", lambda ms, f, g: False)
+    with pytest.raises(TheoremViolationError, match="left/right homotopy disagree"):
+        homotopy_category(diamond_minimal)

@@ -16,7 +16,7 @@ from modelcat import (
     has_lifting,
     lifting_closure,
 )
-from modelcat.morphclass import factor_pairs, retract_pairs
+from modelcat.morphclass import factor_pairs, factorizations, retract_pairs
 
 
 def _mid(cat, name):
@@ -274,3 +274,28 @@ def test_enumerate_factorizations(arrow):
     assert enumerate_factorizations(arrow, f, ids, ids) == []
     only_left = enumerate_factorizations(arrow, f, ids, alls)
     assert [(x.left, x.right) for x in only_left] == [(arrow.identities[0], f)]
+
+
+@pytest.mark.parametrize("name", ["pt", "arrow", "chain2", "diamond", "bool3"])
+def test_factorizations_match_brute_force(request, name):
+    """The shared factorization search equals a filter of the composable
+    pairs, in (middle object, left, right) order, on every bicomplete
+    fixture and for classes with and without the identities."""
+    cat = request.getfixturevalue(name)
+    n = len(cat.morphisms)
+    ids = cat.identity_set
+    classes = [
+        frozenset(range(n)),
+        ids,
+        frozenset(range(n)) - ids,
+        frozenset(range(0, n, 2)),
+        frozenset(range(1, n, 2)),
+    ]
+    for left, right in itertools.product(classes, repeat=2):
+        for f in range(n):
+            want = sorted(
+                ((j, p) for j, p, gf in cat.composable_pairs
+                 if gf == f and j in left and p in right),
+                key=lambda jp: (cat.tgt(jp[0]), jp[0], jp[1]),
+            )
+            assert list(factorizations(cat, f, left, right)) == want

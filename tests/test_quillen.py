@@ -1,6 +1,13 @@
 """Functor/adjunction validation and Quillen pair/equivalence checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import modelcat
 
 from modelcat import (
     Adjunction,
@@ -13,6 +20,7 @@ from modelcat import (
     is_quillen_pair,
     validate_adjunction,
 )
+from modelcat.morphclass import TheoremViolationError
 from modelcat.quillen import hom_bijection_ok, validate_functor
 
 
@@ -115,3 +123,41 @@ def test_derived_ff_precondition_failure(diamond, diamond_minimal, diamond_censu
     r = derived_fullfaithful_check(adj, diamond_minimal, diamond_minimal, target, target, "right")
     assert not r.passed
     assert "cofibrant" in r.description
+
+
+def _disagreeing_pair(arrow):
+    """Identity adjunction of arrow with M = (isos, all, all) and the
+    unverified N = (isos, ids, all): S = id does not carry the
+    cofibrations of M into C_N, while T = id preserves every (trivial)
+    fibration, so the two Quillen-pair conditions disagree."""
+    isos, alls = MorphClass.isos(arrow), MorphClass.all_maps(arrow)
+    msM = ModelStructure(arrow, isos, alls, alls)
+    msN = ModelStructure(arrow, isos, MorphClass.identities(arrow), alls)
+    return Adjunction.identity(arrow), msM, msN
+
+
+def test_quillen_conditions_disagreeing_raise(arrow):
+    with pytest.raises(TheoremViolationError, match="conditions disagree"):
+        is_quillen_pair(*_disagreeing_pair(arrow))
+
+
+def test_quillen_consistency_check_survives_optimize():
+    """Under ``python -O`` asserts vanish; the consistency check must not."""
+    script = (
+        "from modelcat import load_fixture, is_quillen_pair\n"
+        "from modelcat.morphclass import TheoremViolationError\n"
+        "from test_quillen import _disagreeing_pair\n"
+        "print('debug' if __debug__ else 'optimized')\n"
+        "try:\n"
+        "    is_quillen_pair(*_disagreeing_pair(load_fixture('arrow.cat')))\n"
+        "except TheoremViolationError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(modelcat.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["optimized", "raised"]
