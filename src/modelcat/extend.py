@@ -36,7 +36,7 @@ from .morphclass import (
     pullback_transfers,
     run_checks,
 )
-from .modelstruct import ModelStructure, boundary_objects, find_cylinder
+from .modelstruct import ModelStructure, find_cylinder
 
 
 class HypothesisError(Exception):
@@ -91,10 +91,15 @@ class HypothesisReport:
 
 
 def check_thm12(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
-    """The eight hypotheses for (W_g, C_g, F_g) to extend the base structure."""
+    """The eight hypotheses for (W_g, C_g, F_g) to extend the base structure.
+
+    The base's cofibrant objects are read from the structure
+    (``base.cofibrant``) and the closure verdicts of hypotheses 1-3 from
+    each class (``MorphClass.verdicts``), so a scan whose candidates share
+    base and class objects computes each of them once."""
     base, cat = cand.base, cand.base.cat
     W_g, C_g, F_g = cand.W_g, cand.C_g, cand.F_g
-    cof = boundary_objects(base, "cofibrant")
+    cof = base.cofibrant
 
     def hyp4() -> CheckResult:
         for x in range(len(cat.objects)):
@@ -220,7 +225,7 @@ def build_extension(cand: ExtensionCandidate) -> ModelStructure:
         )
     if cand.kind == "ll":
         # the constructed structure keeps the same cofibrant objects
-        if boundary_objects(ms, "cofibrant") != boundary_objects(cand.base, "cofibrant"):
+        if ms.cofibrant != cand.base.cofibrant:
             raise TheoremViolationError("cofibrant objects changed under extension")
     return ms
 
@@ -321,7 +326,7 @@ def mapping_cylinder_factorization(cand: ExtensionCandidate, g: int) -> MappingC
     gluing a cylinder of its source onto its target with pushouts."""
     base, cat = cand.base, cand.base.cat
     x, y = cat.src(g), cat.tgt(g)
-    cof = boundary_objects(base, "cofibrant")
+    cof = base.cofibrant
     if x not in cof or y not in cof:
         raise HypothesisError("mapping cylinder needs cofibrant endpoints")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fincat import (
     FinCat,
@@ -101,6 +102,25 @@ class ModelStructure:
     def triple(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
         return (self.W.members, self.C.members, self.F.members)
 
+    # The boundary objects are computed on first read and kept on the
+    # instance, outside the dataclass fields, so equality ignores them.
+
+    @cached_property
+    def cofibrant(self) -> frozenset[int]:
+        """Objects x with ∅→x a cofibration."""
+        cat = self.cat
+        return frozenset(
+            x for x in range(len(cat.objects)) if point_from_initial(cat, x) in self.C.members
+        )
+
+    @cached_property
+    def fibrant(self) -> frozenset[int]:
+        """Objects x with x→∗ a fibration."""
+        cat = self.cat
+        return frozenset(
+            x for x in range(len(cat.objects)) if point_to_terminal(cat, x) in self.F.members
+        )
+
 
 def minimal_model_structure(cat: FinCat) -> ModelStructure:
     """W = isomorphisms, C = F = all maps; verification must pass."""
@@ -120,20 +140,14 @@ def minimal_model_structure(cat: FinCat) -> ModelStructure:
 
 
 def boundary_objects(ms: ModelStructure, side: str) -> frozenset[int]:
-    """cofibrant: ∅→X is a cofibration; fibrant: X→∗ is a fibration."""
-    cat = ms.cat
+    """cofibrant: ∅→X is a cofibration; fibrant: X→∗ is a fibration.
+
+    Reads the set cached on the structure (``ms.cofibrant`` / ``ms.fibrant``),
+    so repeated calls over one structure cost one lookup."""
     if side == "cofibrant":
-        return frozenset(
-            x
-            for x in range(len(cat.objects))
-            if point_from_initial(cat, x) in ms.C.members
-        )
+        return ms.cofibrant
     if side == "fibrant":
-        return frozenset(
-            x
-            for x in range(len(cat.objects))
-            if point_to_terminal(cat, x) in ms.F.members
-        )
+        return ms.fibrant
     raise InputError("side must be 'cofibrant' or 'fibrant'")
 
 

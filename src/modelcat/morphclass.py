@@ -2,9 +2,17 @@
 
 All procedures here are exhaustive searches over a finite category, so
 they double as the oracles for the constructive proofs in
-:mod:`modelcat.extend`.  Expensive enumerations (commuting squares with
-no lift, retract pairs, pushout transfers, factorization pairs) are
-computed once per category and cached on ``cat.scratch``.
+:mod:`modelcat.extend`.  Each result is cached on the immutable object it
+describes, so a cache lives exactly as long as what its caller keeps:
+
+- per-category tables (commuting squares with no lift, retract pairs,
+  pushout and pullback transfers, factorization pairs) on ``cat.scratch``;
+- closure verdicts on the class: :func:`closure_check` fills
+  ``MorphClass.verdicts``, one :class:`CheckResult` per property;
+- cofibrant and fibrant objects on the structure
+  (``ModelStructure.cofibrant`` / ``.fibrant`` in :mod:`modelcat.modelstruct`).
+
+Cached verdicts are shared, so their witnesses are read-only mappings.
 
 The searches shared by the axiom and hypothesis lists live here once:
 :func:`factorizations` (the only class-membership filter of the
@@ -15,8 +23,9 @@ stopping at the first failure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Iterator
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Callable, Container, Iterable, Iterator, Mapping
 
 from .fincat import FinCat, InputError, colimit, opposite
 
@@ -28,10 +37,18 @@ class TheoremViolationError(AssertionError):
 
 @dataclass(frozen=True)
 class MorphClass:
-    """A subset of the morphisms of a fixed category."""
+    """A subset of the morphisms of a fixed category.
+
+    ``verdicts`` caches :func:`closure_check` results by property; it takes
+    no part in equality, hashing or ``repr``, and ``dataclasses.replace``
+    starts it empty.
+    """
 
     cat: FinCat
     members: frozenset[int]
+    verdicts: dict[str, CheckResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if any(not (0 <= f < len(self.cat.morphisms)) for f in self.members):
@@ -97,7 +114,7 @@ class MorphClass:
 class CheckResult:
     passed: bool
     description: str = ""
-    witness: dict | None = None
+    witness: Mapping[str, int] | None = None
 
     @classmethod
     def ok(cls, description: str = "") -> "CheckResult":
@@ -105,7 +122,7 @@ class CheckResult:
 
     @classmethod
     def fail(cls, description: str, **witness) -> "CheckResult":
-        return cls(False, description, witness)
+        return cls(False, description, MappingProxyType(witness))
 
 
 def combine(*checks: CheckResult) -> CheckResult:
@@ -330,7 +347,17 @@ def lifting_closure(cat: FinCat, cls: MorphClass, side: str) -> MorphClass:
 
 def closure_check(cls: MorphClass, property: str) -> CheckResult:
     """Closure of a class under retracts, composition, pushouts, pullbacks
-    or the two-out-of-three rule, with a least-id witness on failure."""
+    or the two-out-of-three rule, with a least-id witness on failure.
+
+    The verdict is computed once per class and property and then read
+    from ``cls.verdicts``."""
+    verdict = cls.verdicts.get(property)
+    if verdict is None:
+        verdict = cls.verdicts[property] = _closure_verdict(cls, property)
+    return verdict
+
+
+def _closure_verdict(cls: MorphClass, property: str) -> CheckResult:
     cat = cls.cat
     mem = cls.members
     if property == "retracts":

@@ -60,6 +60,11 @@ def diamond_census(diamond):
 
 
 @pytest.fixture(scope="session")
+def bool3_census(bool3):
+    return enumerate_model_structures(bool3, "pruned")
+
+
+@pytest.fixture(scope="session")
 def diamond_minimal(diamond):
     return minimal_model_structure(diamond)
 

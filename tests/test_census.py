@@ -104,10 +104,9 @@ def test_chain_wfs_are_catalan(n, catalan):
     assert len(wfs) == catalan
 
 
-def test_bool3_census(bool3):
-    result = enumerate_model_structures(bool3, "pruned")
-    assert len(result.structures) == 1026
-    assert all(ms.verified for ms in result.structures)
+def test_bool3_census(bool3_census):
+    assert len(bool3_census.structures) == 1026
+    assert all(ms.verified for ms in bool3_census.structures)
 
 
 def test_default_budget_refuses_bool4():

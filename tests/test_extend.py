@@ -1,5 +1,6 @@
 """Hypothesis checkers, constructive engines, and classification."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -210,6 +211,57 @@ def test_thm17_scan_is_sound(name, expected_candidates, expected_passing, reques
                             cat, W_g, C_g, F_g, stop_at_first=True
                         ).passed
     assert (total, passing) == (expected_candidates, expected_passing)
+
+
+def _thm12_scan(cat, census, shared):
+    """First failing hypothesis (None on a pass) of every ll candidate over
+    every census base: W_g = W ∪ any subset of the rest, C_g and F_g the
+    identities plus any subset of the non-identity C resp. F.  With
+    ``shared`` every member set maps to one MorphClass object, so closure
+    verdicts and the base's cofibrant objects come from their caches;
+    otherwise every candidate gets fresh classes and a fresh base."""
+    classes = {}
+
+    def cls(members):
+        if not shared:
+            return _cls(cat, members)
+        return classes.setdefault(members, _cls(cat, members))
+
+    ids = cat.identity_set
+    allm = frozenset(range(len(cat.morphisms)))
+    out = []
+    for base in census.structures:
+        for wx in _subsets(allm - base.W.members):
+            for cx in _subsets(base.C.members - ids):
+                for fx in _subsets(base.F.members - ids):
+                    cand = ExtensionCandidate(
+                        base if shared else dataclasses.replace(base),
+                        cls(base.W.members | wx), cls(ids | cx), cls(ids | fx),
+                    )
+                    failure = check_thm12(cand, stop_at_first=True).first_failure()
+                    out.append((cand, None if failure is None else failure[0]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,expected_candidates,expected_passing",
+    [("arrow", 12, 4), ("chain2", 932, 17)],
+)
+def test_thm12_scan_is_sound(name, expected_candidates, expected_passing, request):
+    """The Thm 1.2 scan of the benchmark's extend-scan workload: the counts
+    match its pins, every passing candidate verifies as a model structure,
+    and cached and cold checks name the same first failing hypothesis."""
+    from modelcat.modelstruct import verify_model_structure
+
+    cat = request.getfixturevalue(name)
+    census = request.getfixturevalue(f"{name}_census")
+    warm = _thm12_scan(cat, census, shared=True)
+    cold = _thm12_scan(cat, census, shared=False)
+    assert [key for _, key in warm] == [key for _, key in cold]
+    passing = [cand for cand, key in warm if key is None]
+    assert (len(warm), len(passing)) == (expected_candidates, expected_passing)
+    for cand in passing:
+        assert verify_model_structure(cat, cand.W_g, cand.C_g, cand.F_g).passed
 
 
 # -- constructive lift --------------------------------------------------

@@ -1,5 +1,7 @@
 """Axiom verification, cylinders, and the homotopy category quotient."""
 
+import dataclasses
+
 import pytest
 
 from modelcat import (
@@ -117,6 +119,32 @@ def test_boundary_objects(diamond, diamond_minimal, diamond_census):
             assert (x in boundary_objects(ms, "fibrant")) == (
                 point_to_terminal(diamond, x) in ms.F.members
             )
+
+
+@pytest.mark.parametrize("name", ["diamond", "bool3"])
+def test_boundary_objects_match_point_maps(request, name):
+    """The cached boundary sets equal their defining condition on both
+    sides for every census structure."""
+    from modelcat.fincat import point_from_initial, point_to_terminal
+
+    cat = request.getfixturevalue(name)
+    census = request.getfixturevalue(f"{name}_census")
+    objects = range(len(cat.objects))
+    for ms in census.structures:
+        cofibrant = {x for x in objects if point_from_initial(cat, x) in ms.C.members}
+        fibrant = {x for x in objects if point_to_terminal(cat, x) in ms.F.members}
+        assert boundary_objects(ms, "cofibrant") == ms.cofibrant == cofibrant
+        assert boundary_objects(ms, "fibrant") == ms.fibrant == fibrant
+
+
+def test_boundary_cache_invisible_to_equality(diamond_census):
+    for ms in diamond_census.structures:
+        read, unread = dataclasses.replace(ms), dataclasses.replace(ms)
+        boundary_objects(read, "cofibrant")
+        boundary_objects(read, "fibrant")
+        assert {"cofibrant", "fibrant"} <= set(vars(read))
+        assert not {"cofibrant", "fibrant"} & set(vars(unread))
+        assert read == unread and unread == read and repr(read) == repr(unread)
 
 
 def test_find_cylinder(diamond, diamond_minimal):

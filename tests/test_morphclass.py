@@ -1,5 +1,6 @@
 """Lifting, closure and factorization procedures against brute-force oracles."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -16,7 +17,12 @@ from modelcat import (
     has_lifting,
     lifting_closure,
 )
-from modelcat.morphclass import factor_pairs, factorizations, retract_pairs
+from modelcat.morphclass import (
+    _closure_verdict,
+    factor_pairs,
+    factorizations,
+    retract_pairs,
+)
 
 
 def _mid(cat, name):
@@ -240,6 +246,68 @@ def test_pushout_closure(diamond):
 def test_unknown_property(arrow):
     with pytest.raises(InputError):
         closure_check(MorphClass.identities(arrow), "monoidal")
+
+
+# -- cached closure verdicts --------------------------------------------
+
+PROPERTIES = ("retracts", "composition", "two_of_three", "pushouts", "pullbacks")
+
+
+@pytest.mark.parametrize("name", ["pt", "arrow", "chain2", "diamond"])
+def test_cached_verdicts_match_uncached(request, name):
+    """First and second ``closure_check`` of every subset class agree with
+    the uncached body run on a fresh object: verdict, text and witness."""
+    cat = request.getfixturevalue(name)
+    for r in range(len(cat.morphisms) + 1):
+        for members in itertools.combinations(range(len(cat.morphisms)), r):
+            cls = MorphClass.of(cat, members)
+            for prop in PROPERTIES:
+                fresh = _closure_verdict(MorphClass.of(cat, members), prop)
+                first = closure_check(cls, prop)
+                # CheckResult equality compares passed, description and witness
+                assert first == fresh
+                assert closure_check(cls, prop) is first
+            assert set(cls.verdicts) == set(PROPERTIES)
+
+
+def test_unknown_property_is_not_cached(arrow):
+    cls = MorphClass.identities(arrow)
+    with pytest.raises(InputError):
+        closure_check(cls, "monoidal")
+    assert cls.verdicts == {}
+
+
+def test_verdict_cache_invisible_to_identity(chain2):
+    f, g = _mid(chain2, "f"), _mid(chain2, "g")
+    cls = MorphClass.of(chain2, chain2.identity_set | {f, g})
+    twin = MorphClass.of(chain2, chain2.identity_set | {f, g})
+    before = (hash(cls), repr(cls))
+    for prop in PROPERTIES:
+        closure_check(cls, prop)
+    assert len(cls.verdicts) == len(PROPERTIES) and twin.verdicts == {}
+    assert cls == twin and (hash(cls), repr(cls)) == before == (hash(twin), repr(twin))
+    copy = dataclasses.replace(cls)
+    assert copy == cls and copy.verdicts == {}
+
+
+def test_witness_is_read_only(chain2):
+    """Verdicts are shared through the cache, so a witness must not be
+    writable by one caller and seen changed by the next."""
+    f, g = _mid(chain2, "f"), _mid(chain2, "g")
+    cls = MorphClass.of(chain2, chain2.identity_set | {f, g})
+    r = closure_check(cls, "two_of_three")
+    assert not r.passed
+    with pytest.raises(TypeError):
+        r.witness["f"] = g
+    with pytest.raises(TypeError):
+        del r.witness["f"]
+    lift = has_lifting(MorphClass.all_maps(chain2), MorphClass.all_maps(chain2))
+    assert not lift.passed
+    with pytest.raises(TypeError):
+        lift.witness["i"] = f
+    assert closure_check(cls, "two_of_three").witness == {
+        "f": f, "g": g, "composite": _mid(chain2, "gf")
+    }
 
 
 # -- factorizations -----------------------------------------------------
