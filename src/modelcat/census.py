@@ -243,14 +243,17 @@ class ExtensionGraph:
 
 def extension_graph(census: CensusResult) -> ExtensionGraph:
     """Directed graph of extension relations between census structures,
-    labeled with kind and Bousfield flags.  The minimal structure must
-    reach every node through an ll edge; otherwise
-    :class:`TheoremViolationError` is raised."""
+    labeled with kind and Bousfield flags by :func:`classify_extension`.
+    The minimal structure must reach every node through an ll edge;
+    otherwise :class:`TheoremViolationError` is raised."""
     nodes = census.structures
+    W_masks = [ms.W.mask for ms in nodes]
     edges = []
     for i, a in enumerate(nodes):
+        Wa = W_masks[i]
         for j, b in enumerate(nodes):
-            if i == j:
+            # every kind but "other" needs W_a ⊆ W_b, so skip the rest unclassified
+            if i == j or Wa & ~W_masks[j]:
                 continue
             k = classify_extension(a, b)
             if k.kind != "other":

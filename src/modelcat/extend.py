@@ -10,13 +10,13 @@ raised as :class:`TheoremViolationError` rather than swallowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .fincat import (
     FinCat,
     InputError,
     MissingLimitError,
     colimit,
-    opposite,
     point_from_initial,
 )
 from .morphclass import (
@@ -157,19 +157,17 @@ def check_thm12(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
 
 def check_thm15(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
     """Dual hypothesis list (path objects, pullbacks), checked by running
-    the primal checker on the opposite category with (W, F, C) swapped."""
-    base, cat = cand.base, cand.base.cat
-    op = opposite(cat)
-    base_op = ModelStructure.build(
-        op,
-        MorphClass(op, base.W.members),
-        MorphClass(op, base.F.members),
-        MorphClass(op, base.C.members),
-    )
+    the primal checker on the opposite category with (W, F, C) swapped.
+
+    The opposite base is built and verified once per base and read from
+    ``base.opposite``, so a scan over one base shares it and the tables of
+    the opposite category."""
+    base_op = cand.base.opposite
     if not base_op.verified:
         raise TheoremViolationError(
             "opposite of a verified model structure failed verification"
         )
+    op = base_op.cat
     cand_op = ExtensionCandidate(
         base_op,
         MorphClass(op, cand.W_g.members),
@@ -524,36 +522,48 @@ class ExtensionKind:
     proper_W: bool
 
 
+@cache
+def _extension_kind(
+    kind: str, left_bousfield: bool, right_bousfield: bool, proper_W: bool
+) -> ExtensionKind:
+    # ExtensionKind is frozen, so one instance per distinct value is shared
+    return ExtensionKind(kind, left_bousfield, right_bousfield, proper_W)
+
+
 def classify_extension(base: ModelStructure, ext: ModelStructure) -> ExtensionKind:
     """Classify ext against base by the three containment directions.
 
-    Containments are read non-strictly; proper_W records whether the weak
-    equivalences actually grew.
+    Containments are read non-strictly on the classes' bitmasks
+    (``MorphClass.mask``): X ⊆ Y iff ``not X & ~Y``.  proper_W records
+    whether the weak equivalences actually grew.  This is the one
+    classification procedure; ``mcx classify``,
+    :func:`modelcat.census.enumerate_extensions` and
+    :func:`modelcat.census.extension_graph` all call it.
     """
-    if base.cat != ext.cat:
+    if base.cat is not ext.cat and base.cat != ext.cat:
         raise InputError("structures live over different categories")
-    W, C, F = base.W.members, base.C.members, base.F.members
-    Wg, Cg, Fg = ext.W.members, ext.C.members, ext.F.members
+    W, C, F = base.W.mask, base.C.mask, base.F.mask
+    Wg, Cg, Fg = ext.W.mask, ext.C.mask, ext.F.mask
 
-    if (W, C, F) == (Wg, Cg, Fg):
+    Cg_in_C, C_in_Cg = not Cg & ~C, not C & ~Cg
+    Fg_in_F, F_in_Fg = not Fg & ~F, not F & ~Fg
+    if W == Wg and C == Cg and F == Fg:
         kind = "equal"
-    elif not (W <= Wg):
+    elif W & ~Wg:
         kind = "other"
-    elif Cg <= C and Fg <= F:
+    elif Cg_in_C and Fg_in_F:
         kind = "ll"
-    elif Cg <= C and F <= Fg:
+    elif Cg_in_C and F_in_Fg:
         kind = "lm"
-    elif C <= Cg and Fg <= F:
+    elif C_in_Cg and Fg_in_F:
         kind = "ml"
-    elif C <= Cg and F <= Fg:
+    elif C_in_Cg and F_in_Fg:
         kind = "mm"
     else:
         kind = "other"
-    return ExtensionKind(
-        kind=kind,
-        left_bousfield=kind in ("equal", "ll") and Cg == C,
-        right_bousfield=kind in ("equal", "ll") and Fg == F,
-        proper_W=W < Wg,
+    ll = kind in ("equal", "ll")
+    return _extension_kind(
+        kind, ll and Cg == C, ll and Fg == F, W != Wg and not W & ~Wg
     )
 
 

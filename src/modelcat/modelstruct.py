@@ -12,6 +12,7 @@ from .fincat import (
     diagonal_map,
     fold_map,
     is_finitely_bicomplete,
+    opposite,
     point_from_initial,
     point_to_terminal,
 )
@@ -102,8 +103,9 @@ class ModelStructure:
     def triple(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
         return (self.W.members, self.C.members, self.F.members)
 
-    # The boundary objects are computed on first read and kept on the
-    # instance, outside the dataclass fields, so equality ignores them.
+    # The boundary objects and the opposite structure are computed on first
+    # read and kept on the instance, outside the dataclass fields, so
+    # equality ignores them.
 
     @cached_property
     def cofibrant(self) -> frozenset[int]:
@@ -119,6 +121,18 @@ class ModelStructure:
         cat = self.cat
         return frozenset(
             x for x in range(len(cat.objects)) if point_to_terminal(cat, x) in self.F.members
+        )
+
+    @cached_property
+    def opposite(self) -> "ModelStructure":
+        """The dual triple (W, F, C) on the opposite category, built and
+        verified once; it is a model structure iff this one is."""
+        op = opposite(self.cat)  # the module-level fincat.opposite
+        return ModelStructure.build(
+            op,
+            MorphClass(op, self.W.members),
+            MorphClass(op, self.F.members),
+            MorphClass(op, self.C.members),
         )
 
 

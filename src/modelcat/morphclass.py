@@ -9,8 +9,12 @@ describes, so a cache lives exactly as long as what its caller keeps:
   pushout and pullback transfers, factorization pairs) on ``cat.scratch``;
 - closure verdicts on the class: :func:`closure_check` fills
   ``MorphClass.verdicts``, one :class:`CheckResult` per property;
-- cofibrant and fibrant objects on the structure
-  (``ModelStructure.cofibrant`` / ``.fibrant`` in :mod:`modelcat.modelstruct`).
+- the members as an ``int`` bitmask on the class (``MorphClass.mask``,
+  bit ``f`` set iff ``f`` is a member), which
+  :func:`modelcat.extend.classify_extension` reads;
+- cofibrant and fibrant objects and the verified opposite structure on
+  the structure (``ModelStructure.cofibrant`` / ``.fibrant`` /
+  ``.opposite`` in :mod:`modelcat.modelstruct`).
 
 Cached verdicts are shared, so their witnesses are read-only mappings.
 
@@ -24,6 +28,7 @@ stopping at the first failure).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Container, Iterable, Iterator, Mapping
 
@@ -39,9 +44,10 @@ class TheoremViolationError(AssertionError):
 class MorphClass:
     """A subset of the morphisms of a fixed category.
 
-    ``verdicts`` caches :func:`closure_check` results by property; it takes
-    no part in equality, hashing or ``repr``, and ``dataclasses.replace``
-    starts it empty.
+    ``verdicts`` caches :func:`closure_check` results by property and
+    ``mask`` holds the members as an ``int`` bitmask; neither takes part
+    in equality, hashing or ``repr``, and ``dataclasses.replace`` starts
+    both afresh.
     """
 
     cat: FinCat
@@ -53,6 +59,11 @@ class MorphClass:
     def __post_init__(self):
         if any(not (0 <= f < len(self.cat.morphisms)) for f in self.members):
             raise InputError("class members must be morphisms of the category")
+
+    @cached_property
+    def mask(self) -> int:
+        """``members`` as a bitmask: bit ``f`` is set iff ``f`` is a member."""
+        return sum(1 << f for f in self.members)
 
     # -- constructors ---------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 from modelcat import (
     InputError,
     TheoremViolationError,
+    classify_extension,
     enumerate_extensions,
     enumerate_model_structures,
     extension_graph,
@@ -153,6 +154,83 @@ def test_extension_graph(census_name, request):
     assert graph.nodes[mi].W.members == census.cat.iso_set
     for i, j, kind in graph.edges:
         assert i != j and kind.kind != "other"
+
+
+def _classify_oracle(base, ext):
+    """Oracle for ``classify_extension``: the containments read on the
+    member frozensets."""
+    if base.cat != ext.cat:
+        raise InputError("structures live over different categories")
+    W, C, F = base.W.members, base.C.members, base.F.members
+    Wg, Cg, Fg = ext.W.members, ext.C.members, ext.F.members
+    if (W, C, F) == (Wg, Cg, Fg):
+        kind = "equal"
+    elif not (W <= Wg):
+        kind = "other"
+    elif Cg <= C and Fg <= F:
+        kind = "ll"
+    elif Cg <= C and F <= Fg:
+        kind = "lm"
+    elif C <= Cg and Fg <= F:
+        kind = "ml"
+    elif C <= Cg and F <= Fg:
+        kind = "mm"
+    else:
+        kind = "other"
+    return ExtensionKind(
+        kind=kind,
+        left_bousfield=kind in ("equal", "ll") and Cg == C,
+        right_bousfield=kind in ("equal", "ll") and Fg == F,
+        proper_W=W < Wg,
+    )
+
+
+def _census(name, request):
+    """A census fixture by category name, or the pruned census of the
+    chain ``[n]`` for ``name == "[n]"``."""
+    if name.startswith("["):
+        return enumerate_model_structures(_chain(int(name[1:-1])), "pruned")
+    return request.getfixturevalue(f"{name}_census")
+
+
+@pytest.mark.parametrize("name", ["arrow", "chain2", "diamond", "[3]"])
+def test_classify_extension_matches_oracle(name, request):
+    """The bitmask classification agrees with the frozenset oracle on every
+    ordered pair of census structures, and the graph has exactly the
+    oracle's edges."""
+    census = _census(name, request)
+    oracle_edges = []
+    for i, a in enumerate(census.structures):
+        for j, b in enumerate(census.structures):
+            kind = _classify_oracle(a, b)
+            assert classify_extension(a, b) == kind
+            if i != j and kind.kind != "other":
+                oracle_edges.append((i, j, kind))
+    assert list(extension_graph(census).edges) == oracle_edges
+
+
+@pytest.mark.parametrize(
+    "name", ["arrow", "chain2", "diamond", "[0]", "[1]", "[2]", "[3]", "[4]", "bool3"]
+)
+def test_extension_graph_invariants(name, request):
+    """A model structure is determined by C and F (Joyal–Tierney, Prop.
+    7.8), so between distinct structures there is no mm edge and no ll edge
+    with both Bousfield flags; and ll (W grows, C and F shrink) is
+    transitive."""
+    graph = extension_graph(_census(name, request))
+    succ = [0] * len(graph.nodes)
+    for i, j, kind in graph.edges:
+        assert i != j and kind.kind != "mm"
+        if kind.kind == "ll":
+            assert not (kind.left_bousfield and kind.right_bousfield)
+            succ[i] |= 1 << j
+    for i, reach in enumerate(succ):
+        for j in range(len(succ)):
+            if reach >> j & 1:
+                # every ll-successor of j other than i is an ll-successor of i
+                assert not succ[j] & ~(1 << i) & ~reach
+    if name == "bool3":  # pinned from the frozenset classification
+        assert sum(bin(reach).count("1") for reach in succ) == 70_651
 
 
 def test_census_find(arrow_census):

@@ -8,6 +8,7 @@ import pytest
 from modelcat import (
     ExtensionCandidate,
     HypothesisError,
+    HypothesisReport,
     InputError,
     ModelStructure,
     MorphClass,
@@ -24,6 +25,7 @@ from modelcat import (
     find_lift,
     lemma11_lift,
     mapping_cylinder_factorization,
+    modelstruct,
     prop14_build,
 )
 from modelcat.extend import (
@@ -174,6 +176,74 @@ def test_thm15_matches_dual_check(diamond, diamond_minimal, diamond_census):
         assert {k: v.passed for k, v in primal.verdicts.items()} == {
             k: v.passed for k, v in dual.verdicts.items()
         }
+
+
+def _thm15_rebuilding(cand):
+    """Oracle for check_thm15: a fresh opposite base, built and verified on
+    every call, under the primal checker with (W, F, C) swapped."""
+    base, op = cand.base, opposite(cand.base.cat)
+    base_op = ModelStructure.build(
+        op,
+        MorphClass(op, base.W.members),
+        MorphClass(op, base.F.members),
+        MorphClass(op, base.C.members),
+    )
+    assert base_op.verified
+    report = check_thm12(
+        ExtensionCandidate(
+            base_op,
+            MorphClass(op, cand.W_g.members),
+            MorphClass(op, cand.F_g.members),
+            MorphClass(op, cand.C_g.members),
+        )
+    )
+    return HypothesisReport("1.5", report.verdicts)
+
+
+def test_thm15_verifies_the_opposite_base_once(diamond, diamond_minimal, monkeypatch):
+    base = dataclasses.replace(diamond_minimal)  # nothing cached yet
+    verified = []
+    real = modelstruct.verify_model_structure
+
+    def counting(cat, *args, **kwargs):
+        verified.append(cat)
+        return real(cat, *args, **kwargs)
+
+    monkeypatch.setattr(modelstruct, "verify_model_structure", counting)
+    cand = _self_candidate(base)
+    first, second = check_thm15(cand), check_thm15(cand)
+    assert verified == [opposite(diamond)]
+    assert first == second and first.passed
+    assert base.opposite is base.opposite and base.opposite.cat is opposite(diamond)
+    assert base == diamond_minimal and repr(base) == repr(diamond_minimal)
+
+
+def test_thm15_verdicts_match_rebuilding_oracle(diamond, diamond_minimal, diamond_census):
+    """Full reports (verdicts, texts, witnesses) agree with the oracle on
+    every ll candidate over diamond's minimal structure whose classes are
+    census classes, and on every census structure as a candidate over each
+    census base it ll-extends."""
+    classes = {
+        side: sorted({getattr(ms, side).members for ms in diamond_census.structures}, key=sorted)
+        for side in "WCF"
+    }
+    shared = {m: _cls(diamond, m) for side in classes.values() for m in side}
+    candidates = [
+        ExtensionCandidate(diamond_minimal, shared[W_g], shared[C_g], shared[F_g])
+        for W_g, C_g, F_g in itertools.product(classes["W"], classes["C"], classes["F"])
+    ]
+    candidates += [
+        ExtensionCandidate(base, ms.W, ms.C, ms.F)
+        for base in diamond_census.structures
+        for ms in diamond_census.structures
+        if classify_extension(base, ms).kind in ("equal", "ll")
+    ]
+    passed = 0
+    for cand in candidates:
+        report = check_thm15(cand)
+        assert report == _thm15_rebuilding(cand)
+        passed += report.passed
+    assert len(candidates) > 1000 and 0 < passed < len(candidates)
 
 
 def test_thm17_requires_lm_kind(diamond_minimal):
@@ -422,6 +492,11 @@ def test_classify(diamond, diamond_minimal, diamond_census):
     for ms in diamond_census.structures:
         k = classify_extension(diamond_minimal, ms)
         assert k.kind in ("equal", "ll")  # C and F can only shrink from the top
+
+
+def test_classify_rejects_other_category(arrow_minimal, diamond_minimal):
+    with pytest.raises(InputError):
+        classify_extension(arrow_minimal, diamond_minimal)
 
 
 def test_classify_lm(chain2, chain2_census):

@@ -290,6 +290,26 @@ def test_verdict_cache_invisible_to_identity(chain2):
     assert copy == cls and copy.verdicts == {}
 
 
+@pytest.mark.parametrize("name", ["pt", "arrow", "chain2", "diamond"])
+def test_mask_is_the_members_bitmask(request, name):
+    """``mask`` sets exactly the member bits of every subset class, and
+    reading it changes neither equality, hash, repr nor ``replace``."""
+    cat = request.getfixturevalue(name)
+    for r in range(len(cat.morphisms) + 1):
+        for members in itertools.combinations(range(len(cat.morphisms)), r):
+            cls = MorphClass.of(cat, members)
+            twin = MorphClass.of(cat, members)
+            before = (hash(cls), repr(cls))
+            assert cls.mask == sum(1 << f for f in members)
+            assert cls.mask is cls.mask
+            assert cls == twin and (hash(cls), repr(cls)) == before == (
+                hash(twin), repr(twin)
+            )
+            assert "mask" not in vars(twin)
+            copy = dataclasses.replace(cls)
+            assert copy == cls and "mask" not in vars(copy)
+
+
 def test_witness_is_read_only(chain2):
     """Verdicts are shared through the cache, so a witness must not be
     writable by one caller and seen changed by the next."""
