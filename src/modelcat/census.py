@@ -9,6 +9,14 @@ L = llp(rlp(L)), keeps those whose (L, rlp(L)) factors every map, and pairs
 them up; it must return exactly the naive set.  Every structure either mode
 returns is re-verified by :meth:`ModelStructure.build`.
 
+Every finite category with binary products is thin (k ≥ 2 maps A → B
+would give kⁿ maps A → Bⁿ), so the census reads a bicomplete category as a
+preorder, ``_ThinView``, and raises :class:`TheoremViolationError` if it is
+not thin.  The pair loop then works on ``int`` bitmasks only.  The tables
+it starts from (:func:`lifting_blocks`, :func:`factor_masks`) are cached
+on the category by :mod:`modelcat.morphclass`; the thin view and the
+per-wfs object masks live for one census.
+
 ``candidates_checked`` counts candidate triples in naive mode and pairs of
 weak factorization systems tried in pruned mode.  The budget bounds the
 number of candidate triples in naive mode (refused before the scan starts)
@@ -23,7 +31,7 @@ import time
 from dataclasses import dataclass
 
 from .fincat import FinCat, InputError, is_finitely_bicomplete
-from .morphclass import MorphClass, closure_check, factor_pairs, unliftable_pairs
+from .morphclass import MorphClass, factors_all, lifting_blocks
 from .modelstruct import ModelStructure, verify_model_structure
 from .extend import ExtensionKind, TheoremViolationError, classify_extension
 
@@ -61,12 +69,60 @@ def _members(mask: int) -> frozenset[int]:
     return frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)
 
 
-def _factor_masks(cat: FinCat) -> list[list[tuple[int, int]]]:
-    """Per morphism f, its factorizations f = p∘j as bit pairs (1<<j, 1<<p)."""
-    return [
-        [(1 << j, 1 << p) for j, p in factor_pairs(cat, f)]
-        for f in range(len(cat.morphisms))
-    ]
+@dataclass(frozen=True)
+class _ThinView:
+    """A thin category as a preorder on its objects.
+
+    ``arrows`` lists (a, b, f) for every a ≤ b, f being the one arrow a→b,
+    in (a, b) order; ``up[a]`` and ``down[b]`` are the bitmasks of the
+    objects b ≥ a and a ≤ b."""
+
+    arrows: tuple[tuple[int, int, int], ...]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
+
+    def object_masks(self, mask: int) -> tuple[list[int], list[int]]:
+        """For a class of arrows given as a bitmask, per object a the objects
+        b with a→b in the class, and per object b the objects a with a→b
+        in it."""
+        out = [0] * len(self.up)
+        into = [0] * len(self.up)
+        for a, b, f in self.arrows:
+            if mask >> f & 1:
+                out[a] |= 1 << b
+                into[b] |= 1 << a
+        return out, into
+
+    def two_of_three(self, W: int, W_out: list[int], W_in: list[int]) -> bool:
+        """Whether the class ``W`` (with its :meth:`object_masks`) satisfies
+        two-out-of-three.  The composable pairs are the triples a ≤ b ≤ c;
+        for fixed a→c the middle objects b form M = up[a] ∩ down[c].  If
+        a→c ∈ W, a→b and b→c must be both in W or both out; otherwise they
+        must not be both in."""
+        up, down = self.up, self.down
+        for a, c, f in self.arrows:
+            inside = W_out[a] ^ W_in[c] if W >> f & 1 else W_out[a] & W_in[c]
+            if inside & up[a] & down[c]:
+                return False
+        return True
+
+
+def _thin_view(cat: FinCat) -> _ThinView:
+    """The preorder view of ``cat``; raises :class:`TheoremViolationError`
+    if some hom-set holds two maps."""
+    up = [0] * len(cat.objects)
+    down = [0] * len(cat.objects)
+    arrows = []
+    for (a, b), maps in sorted(cat.hom_table.items()):
+        if len(maps) > 1:
+            raise TheoremViolationError(
+                "a finitely bicomplete finite category must be thin, but "
+                f"{cat.objects[a]} → {cat.objects[b]} has {len(maps)} maps"
+            )
+        up[a] |= 1 << b
+        down[b] |= 1 << a
+        arrows.append((a, b, maps[0]))
+    return _ThinView(tuple(arrows), tuple(up), tuple(down))
 
 
 def weak_factorization_systems(
@@ -86,9 +142,7 @@ def weak_factorization_systems(
     """
     n = len(cat.morphisms)
     everything = (1 << n) - 1
-    blocks = [0] * n  # blocks[i]: maps p with some (i, p) square lacking a lift
-    for i, p in unliftable_pairs(cat):
-        blocks[i] |= 1 << p
+    blocks = lifting_blocks(cat)
 
     def llp(R: int) -> int:
         return sum(1 << i for i in range(n) if not blocks[i] & R)
@@ -110,43 +164,45 @@ def weak_factorization_systems(
                 closed[R2] = llp(R2)
                 todo.append(R2)
 
-    factors = _factor_masks(cat)
-    wfs = [
-        (L, R)
-        for R, L in closed.items()
-        if all(any(L & j and R & p for j, p in fp) for fp in factors)
-    ]
+    wfs = [(L, R) for R, L in closed.items() if factors_all(cat, L, R, "").passed]
     return sorted(wfs), steps
 
 
 def _pruned_triples(
-    cat: FinCat, budget: int
+    cat: FinCat, thin: _ThinView, budget: int
 ) -> tuple[list[tuple[frozenset[int], frozenset[int], frozenset[int]]], int]:
     """Model structures (W, C, F) from pairs of weak factorization systems
     (L₁, R₁) = (C∩W, F) and (L₂, R₂) = (C, F∩W) with L₁ ⊆ L₂ and
-    W = R₂∘L₁, and the number of pairs tried."""
+    W = R₂∘L₁ satisfying two-out-of-three, and the number of pairs tried.
+
+    W∩L₂ = L₁ and W∩R₁ = R₂ need no test: for f = r∘l ∈ L₂ with l ∈ L₁ and
+    r ∈ R₂, f lifts against r, so f is a retract of l and lies in L₁; the R₁
+    side is dual."""
     wfs, steps = weak_factorization_systems(cat, budget)
-    factors = _factor_masks(cat)
+    k = len(cat.objects)
+    # per wfs: L's arrows out of each object, R's arrows into each object
+    sides = [(L, R, thin.object_masks(L)[0], thin.object_masks(R)[1]) for L, R in wfs]
+    arrows = [(a, c, 1 << f, 1 << a, 1 << c) for a, c, f in thin.arrows]
     found = []
     pairs = 0
-    for L1, R1 in wfs:
-        for L2, R2 in wfs:
+    for L1, R1, L1_out, _ in sides:
+        for L2, R2, _, R2_in in sides:
             if L1 & ~L2:
                 continue
             pairs += 1
             if steps + pairs > budget:
                 raise BudgetExceeded(f"census exceeds the budget of {budget} steps")
-            W = sum(
-                1 << f
-                for f, fp in enumerate(factors)
-                if any(L1 & j and R2 & p for j, p in fp)
-            )
-            if W & L2 != L1 or W & R1 != R2:
-                continue
-            W_cls = MorphClass(cat, _members(W))
-            if closure_check(W_cls, "two_of_three").passed:
-                found.append((W_cls.members, _members(L2), _members(R1)))
-    return found, pairs
+            W = 0
+            W_out = [0] * k
+            W_in = [0] * k
+            for a, c, f_bit, a_bit, c_bit in arrows:
+                if L1_out[a] & R2_in[c]:
+                    W |= f_bit
+                    W_out[a] |= c_bit
+                    W_in[c] |= a_bit
+            if thin.two_of_three(W, W_out, W_in):
+                found.append((W, L2, R1))
+    return [tuple(map(_members, t)) for t in found], pairs
 
 
 def enumerate_model_structures(
@@ -162,6 +218,7 @@ def enumerate_model_structures(
         raise InputError("mode must be 'naive' or 'pruned'")
     if not is_finitely_bicomplete(cat).ok:
         raise InputError("census requires a finitely bicomplete category")
+    thin = _thin_view(cat)
     budget = DEFAULT_BUDGET if budget is None else budget
 
     t0 = time.monotonic()
@@ -195,7 +252,7 @@ def enumerate_model_structures(
                     if report.passed:
                         found.append((W, C, F))
     else:
-        found, checked = _pruned_triples(cat, budget)
+        found, checked = _pruned_triples(cat, thin, budget)
 
     structures = tuple(
         ModelStructure.build(

@@ -148,8 +148,7 @@ def check_thm12(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
         ("6", hyp6),
         ("7", lambda: has_lifting(MorphClass(cat, C_g.members & W_g.members), F_g)),
         ("8", lambda: factors_all(
-            cat, C_g.members & W_g.members, F_g.members,
-            "no (C_g∩W_g, F_g) factorization",
+            cat, C_g.mask & W_g.mask, F_g.mask, "no (C_g∩W_g, F_g) factorization"
         )),
     )
     return HypothesisReport("1.2", run_checks(checks, stop_at_first))
@@ -160,19 +159,16 @@ def check_thm15(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
     the primal checker on the opposite category with (W, F, C) swapped.
 
     The opposite base is built and verified once per base and read from
-    ``base.opposite``, so a scan over one base shares it and the tables of
-    the opposite category."""
+    ``base.opposite``, and the candidate's opposite classes from
+    ``MorphClass.opposite``, so repeated checks share them, their closure
+    verdicts and the tables of the opposite category."""
     base_op = cand.base.opposite
     if not base_op.verified:
         raise TheoremViolationError(
             "opposite of a verified model structure failed verification"
         )
-    op = base_op.cat
     cand_op = ExtensionCandidate(
-        base_op,
-        MorphClass(op, cand.W_g.members),
-        MorphClass(op, cand.F_g.members),
-        MorphClass(op, cand.C_g.members),
+        base_op, cand.W_g.opposite, cand.F_g.opposite, cand.C_g.opposite
     )
     report = check_thm12(cand_op, stop_at_first=stop_at_first)
     return HypothesisReport("1.5", report.verdicts)
@@ -199,7 +195,7 @@ def check_thm17(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
         )),
         ("4", lambda: has_lifting(C_g, trivfib_g)),
         ("5", lambda: factors_all(
-            cat, C_g.members, trivfib_g.members, "no (C_g, F_g∩W_g) factorization"
+            cat, C_g.mask, trivfib_g.mask, "no (C_g, F_g∩W_g) factorization"
         )),
         ("6", lambda: check_properness(base, "right")),
     )
@@ -241,7 +237,7 @@ def lemma11_assumptions(
             closure_check(C, "composition"), closure_check(C, "pushouts")
         ),
         "3": has_lifting(trivcof, F),
-        "4": factors_all(cat, C.members, F.members & W.members, "no factorization"),
+        "4": factors_all(cat, C.mask, F.mask & W.mask, "no factorization"),
     }
 
 
@@ -496,10 +492,8 @@ def prop14_build(
         "2": combine(
             closure_check(W_prime, "retracts"), closure_check(W_g, "retracts")
         ),
-        "3": factors_all(
-            cat, base.C.members & W_prime.members, F_g.members, "no factorization"
-        ),
-        "4": factors_all(cat, C_g.members, F_g.members & W_g.members, "no factorization"),
+        "3": factors_all(cat, base.C.mask & W_prime.mask, F_g.mask, "no factorization"),
+        "4": factors_all(cat, C_g.mask, F_g.mask & W_g.mask, "no factorization"),
     }
     report = HypothesisReport("1.4", verdicts)
     if not report.passed:

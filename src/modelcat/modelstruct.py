@@ -68,18 +68,18 @@ def verify_model_structure(
     With ``stop_at_first`` the report only contains checks up to the first
     failure (used by the exhaustive scans).
     """
-    trivcof = W.members & C.members
-    trivfib = W.members & F.members
+    trivcof = MorphClass(cat, W.members & C.members)
+    trivfib = MorphClass(cat, W.members & F.members)
     no_factorization = "morphism admits no factorization"
     checks = (
         ("two_of_three_W", lambda: closure_check(W, "two_of_three")),
         ("retracts_W", lambda: closure_check(W, "retracts")),
         ("retracts_C", lambda: closure_check(C, "retracts")),
         ("retracts_F", lambda: closure_check(F, "retracts")),
-        ("lift_trivcof_fib", lambda: has_lifting(MorphClass(cat, trivcof), F)),
-        ("lift_cof_trivfib", lambda: has_lifting(C, MorphClass(cat, trivfib))),
-        ("factor_trivcof_fib", lambda: factors_all(cat, trivcof, F.members, no_factorization)),
-        ("factor_cof_trivfib", lambda: factors_all(cat, C.members, trivfib, no_factorization)),
+        ("lift_trivcof_fib", lambda: has_lifting(trivcof, F)),
+        ("lift_cof_trivfib", lambda: has_lifting(C, trivfib)),
+        ("factor_trivcof_fib", lambda: factors_all(cat, trivcof.mask, F.mask, no_factorization)),
+        ("factor_cof_trivfib", lambda: factors_all(cat, C.mask, trivfib.mask, no_factorization)),
     )
     return AxiomReport(run_checks(checks, stop_at_first))
 
@@ -127,12 +127,11 @@ class ModelStructure:
     def opposite(self) -> "ModelStructure":
         """The dual triple (W, F, C) on the opposite category, built and
         verified once; it is a model structure iff this one is."""
-        op = opposite(self.cat)  # the module-level fincat.opposite
         return ModelStructure.build(
-            op,
-            MorphClass(op, self.W.members),
-            MorphClass(op, self.F.members),
-            MorphClass(op, self.C.members),
+            opposite(self.cat),  # the module-level fincat.opposite
+            self.W.opposite,
+            self.F.opposite,
+            self.C.opposite,
         )
 
 

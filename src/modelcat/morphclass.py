@@ -6,12 +6,22 @@ they double as the oracles for the constructive proofs in
 describes, so a cache lives exactly as long as what its caller keeps:
 
 - per-category tables (commuting squares with no lift, retract pairs,
-  pushout and pullback transfers, factorization pairs) on ``cat.scratch``;
+  pushout and pullback transfers, factorization pairs) on ``cat.scratch``,
+  and two bitmask views of them there: :func:`lifting_blocks` (per map i,
+  the maps p with an (i, p) square that has no lift) and
+  :func:`factor_masks` (per map f, its factorization pairs as bits, filled
+  per f as :func:`factor_pairs` is); :func:`has_lifting`,
+  :func:`lifting_closure` and :func:`factors_all` decide on these views
+  (a failed :func:`has_lifting` reads its witness square from
+  :func:`unliftable_pairs`);
 - closure verdicts on the class: :func:`closure_check` fills
   ``MorphClass.verdicts``, one :class:`CheckResult` per property;
 - the members as an ``int`` bitmask on the class (``MorphClass.mask``,
   bit ``f`` set iff ``f`` is a member), which
-  :func:`modelcat.extend.classify_extension` reads;
+  :func:`modelcat.extend.classify_extension` and the checks above read,
+  and the same members as a class of the opposite category
+  (``MorphClass.opposite``), which :func:`modelcat.extend.check_thm15`
+  reads;
 - cofibrant and fibrant objects and the verified opposite structure on
   the structure (``ModelStructure.cofibrant`` / ``.fibrant`` /
   ``.opposite`` in :mod:`modelcat.modelstruct`).
@@ -44,10 +54,11 @@ class TheoremViolationError(AssertionError):
 class MorphClass:
     """A subset of the morphisms of a fixed category.
 
-    ``verdicts`` caches :func:`closure_check` results by property and
-    ``mask`` holds the members as an ``int`` bitmask; neither takes part
-    in equality, hashing or ``repr``, and ``dataclasses.replace`` starts
-    both afresh.
+    ``verdicts`` caches :func:`closure_check` results by property,
+    ``mask`` holds the members as an ``int`` bitmask and ``opposite`` the
+    same members over the opposite category; none of them takes part in
+    equality, hashing or ``repr``, and ``dataclasses.replace`` starts them
+    afresh.
     """
 
     cat: FinCat
@@ -64,6 +75,12 @@ class MorphClass:
     def mask(self) -> int:
         """``members`` as a bitmask: bit ``f`` is set iff ``f`` is a member."""
         return sum(1 << f for f in self.members)
+
+    @cached_property
+    def opposite(self) -> "MorphClass":
+        """The same members as a class of ``opposite(cat)``, built once, so
+        its closure verdicts are shared by every reader."""
+        return MorphClass(opposite(self.cat), self.members)  # fincat.opposite
 
     # -- constructors ---------------------------------------------------
 
@@ -292,6 +309,18 @@ def pullback_transfers(cat: FinCat) -> tuple[tuple[int, int, int], ...]:
     return cache["pullback_transfers"]
 
 
+def lifting_blocks(cat: FinCat) -> tuple[int, ...]:
+    """Per morphism i, the bitmask of the maps p such that some commuting
+    (i, p) square has no lift: :func:`unliftable_pairs` as bitmasks."""
+    cache = cat.scratch
+    if "blocks" not in cache:
+        blocks = [0] * len(cat.morphisms)
+        for i, p in unliftable_pairs(cat):
+            blocks[i] |= 1 << p
+        cache["blocks"] = tuple(blocks)
+    return cache["blocks"]
+
+
 def factor_pairs(cat: FinCat, f: int) -> tuple[tuple[int, int], ...]:
     """All (j, p) with p∘j = f, ordered by (middle object, j, p)."""
     cache = cat.scratch.setdefault("factor_pairs", {})
@@ -304,6 +333,15 @@ def factor_pairs(cat: FinCat, f: int) -> tuple[tuple[int, int], ...]:
                     if cat.table[p][j] == f:
                         out.append((j, p))
         cache[f] = tuple(out)
+    return cache[f]
+
+
+def factor_masks(cat: FinCat, f: int) -> tuple[tuple[int, int], ...]:
+    """:func:`factor_pairs` of ``f`` as bit pairs (1 << j, 1 << p), in the
+    same order."""
+    cache = cat.scratch.setdefault("factor_masks", {})
+    if f not in cache:
+        cache[f] = tuple((1 << j, 1 << p) for j, p in factor_pairs(cat, f))
     return cache[f]
 
 
@@ -326,16 +364,21 @@ def find_lift(problem: SquareLiftProblem) -> int | None:
 
 
 def has_lifting(left: MorphClass, right: MorphClass) -> CheckResult:
-    """Pass iff every commuting square (i ∈ left, p ∈ right) has a lift."""
+    """Pass iff every commuting square (i ∈ left, p ∈ right) has a lift.
+
+    The witness is the least i, then the least p, with an unliftable
+    square, and that pair's least (top, bottom)."""
     left._same_cat(right)
-    bad = unliftable_pairs(left.cat)
+    blocks = lifting_blocks(left.cat)
+    right_mask = right.mask
     for i in sorted(left.members):
-        for p in sorted(right.members):
-            if (i, p) in bad:
-                top, bottom = bad[(i, p)]
-                return CheckResult.fail(
-                    "square with no lift", i=i, p=p, top=top, bottom=bottom
-                )
+        hit = blocks[i] & right_mask
+        if hit:
+            p = (hit & -hit).bit_length() - 1
+            top, bottom = unliftable_pairs(left.cat)[(i, p)]
+            return CheckResult.fail(
+                "square with no lift", i=i, p=p, top=top, bottom=bottom
+            )
     return CheckResult.ok("lifting")
 
 
@@ -343,16 +386,15 @@ def lifting_closure(cat: FinCat, cls: MorphClass, side: str) -> MorphClass:
     """side='rlp': maps with the right lifting property against cls; 'llp' dual."""
     if side not in ("llp", "rlp"):
         raise InputError("side must be 'llp' or 'rlp'")
-    bad = unliftable_pairs(cat)
+    blocks = lifting_blocks(cat)
     n = len(cat.morphisms)
     if side == "rlp":
-        members = [
-            p for p in range(n) if all((i, p) not in bad for i in cls.members)
-        ]
+        blocked = 0
+        for i in cls.members:
+            blocked |= blocks[i]
+        members = [p for p in range(n) if not blocked >> p & 1]
     else:
-        members = [
-            i for i in range(n) if all((i, p) not in bad for p in cls.members)
-        ]
+        members = [i for i in range(n) if not blocks[i] & cls.mask]
     return MorphClass.of(cat, members)
 
 
@@ -420,12 +462,6 @@ def first_factorization(
     return next(factorizations(cat, f, left, right), None)
 
 
-def has_factorization(
-    cat: FinCat, f: int, left: Container[int], right: Container[int]
-) -> bool:
-    return first_factorization(cat, f, left, right) is not None
-
-
 def enumerate_factorizations(
     cat: FinCat, f: int, left: MorphClass, right: MorphClass
 ) -> list[Factorization]:
@@ -436,12 +472,14 @@ def enumerate_factorizations(
     ]
 
 
-def factors_all(
-    cat: FinCat, left: Container[int], right: Container[int], description: str
-) -> CheckResult:
-    """Pass iff every morphism factors as p∘j with j ∈ left and p ∈ right;
-    on failure the least such morphism is the witness ``f``."""
+def factors_all(cat: FinCat, left: int, right: int, description: str) -> CheckResult:
+    """Pass iff every morphism factors as p∘j with j in ``left`` and p in
+    ``right``, both bitmasks over morphism ids; on failure the least
+    morphism that does not factor is the witness ``f``."""
     for f in range(len(cat.morphisms)):
-        if not has_factorization(cat, f, left, right):
+        for j, p in factor_masks(cat, f):
+            if left & j and right & p:
+                break
+        else:
             return CheckResult.fail(description, f=f)
     return CheckResult.ok("factorization")

@@ -1,6 +1,8 @@
 """Enumeration of all model structures, oracle equivalence, extension graph."""
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,15 +18,31 @@ from modelcat import (
 )
 from modelcat import census as census_mod
 from modelcat.catio import fixture_path
-from modelcat.census import BudgetExceeded, weak_factorization_systems
+from modelcat.census import DEFAULT_BUDGET, BudgetExceeded, weak_factorization_systems
 from modelcat.cli import run
 from modelcat.extend import ExtensionKind
-from modelcat.morphclass import CheckResult
+from modelcat.morphclass import CheckResult, MorphClass, closure_check, factor_pairs
 
 
 def _chain(n):
     """The total order [n] = {0 < 1 < ... < n} as a thin category."""
     return from_poset([str(i) for i in range(n + 1)], lambda a, b: int(a) <= int(b))
+
+
+def _grid_order(p, q):
+    """The elements and order of the lattice [p]×[q], as "ij" strings."""
+    elements = [f"{i}{j}" for i in range(p + 1) for j in range(q + 1)]
+    return elements, lambda a, b: a[0] <= b[0] and a[1] <= b[1]
+
+
+def _category(name, request):
+    """A fixture category by name, the chain ``[n]`` or the grid ``[p]x[q]``."""
+    if "]x[" in name:
+        p, q = (int(part.strip("[]")) for part in name.split("x"))
+        return from_poset(*_grid_order(p, q))
+    if name.startswith("["):
+        return _chain(int(name[1:-1]))
+    return request.getfixturevalue(name)
 
 
 def test_point_census(pt):
@@ -231,6 +249,142 @@ def test_extension_graph_invariants(name, request):
                 assert not succ[j] & ~(1 << i) & ~reach
     if name == "bool3":  # pinned from the frozenset classification
         assert sum(bin(reach).count("1") for reach in succ) == 70_651
+
+
+def test_census_refuses_a_non_thin_category(retract, monkeypatch):
+    """Every finitely bicomplete finite category is thin, so a census that
+    is told a non-thin category is bicomplete raises instead of pairing on
+    a preorder view that does not describe it."""
+    assert any(len(maps) > 1 for maps in retract.hom_table.values())
+    monkeypatch.setattr(
+        census_mod, "is_finitely_bicomplete", lambda cat: SimpleNamespace(ok=True)
+    )
+    for mode in ("pruned", "naive"):
+        with pytest.raises(TheoremViolationError):
+            enumerate_model_structures(retract, mode)
+
+
+@pytest.mark.parametrize("name", ["pt", "arrow", "chain2", "diamond"])
+def test_mask_two_of_three_matches_closure_check(name, request):
+    """The per-object mask test of two-out-of-three agrees with the
+    composable-pair search on every subset class."""
+    cat = request.getfixturevalue(name)
+    thin = census_mod._thin_view(cat)
+    verdicts = set()
+    for W in range(1 << len(cat.morphisms)):
+        got = thin.two_of_three(W, *thin.object_masks(W))
+        cls = MorphClass.of(cat, (f for f in range(len(cat.morphisms)) if W >> f & 1))
+        assert got == closure_check(cls, "two_of_three").passed
+        verdicts.add(got)
+    assert verdicts == {True, False} or name == "pt"
+
+
+def _composite(cat, L, R):
+    """R∘L as a bitmask: the maps with some factorization p∘j, j ∈ L, p ∈ R."""
+    return sum(
+        1 << f
+        for f in range(len(cat.morphisms))
+        if any(L >> j & 1 and R >> p & 1 for j, p in factor_pairs(cat, f))
+    )
+
+
+def _pruned_triples_loop(cat):
+    """Oracle for ``_pruned_triples``: each pair's W from the factorization
+    pairs, the W∩L₂ = L₁ and W∩R₁ = R₂ filters, and two-out-of-three by
+    ``closure_check`` on a frozenset class."""
+    wfs, _ = weak_factorization_systems(cat)
+    found, pairs = [], 0
+    for L1, R1 in wfs:
+        for L2, R2 in wfs:
+            if L1 & ~L2:
+                continue
+            pairs += 1
+            W = _composite(cat, L1, R2)
+            if W & L2 != L1 or W & R1 != R2:
+                continue
+            W_cls = MorphClass(cat, census_mod._members(W))
+            if closure_check(W_cls, "two_of_three").passed:
+                found.append((W_cls.members, census_mod._members(L2), census_mod._members(R1)))
+    return found, pairs
+
+
+@pytest.mark.parametrize("name", ["[0]", "[1]", "[2]", "[3]", "[4]", "diamond", "[1]x[2]"])
+def test_pruned_triples_match_frozenset_loop(name, request):
+    cat = _category(name, request)
+    got = census_mod._pruned_triples(cat, census_mod._thin_view(cat), DEFAULT_BUDGET)
+    assert got == _pruned_triples_loop(cat)
+
+
+@pytest.mark.parametrize("name", ["[4]", "diamond", "[1]x[2]"])
+def test_dead_filters_never_reject(name, request):
+    """For wfs (L₁, R₁), (L₂, R₂) with L₁ ⊆ L₂ and W = R₂∘L₁, always
+    W∩L₂ = L₁ and W∩R₁ = R₂ (a map of L₂ that factors as r∘l is a retract
+    of l; dually for R₁), which is why the pair loop does not test them."""
+    cat = _category(name, request)
+    wfs, _ = weak_factorization_systems(cat)
+    pairs = 0
+    for (L1, R1), (L2, R2) in itertools.product(wfs, repeat=2):
+        if not L1 & ~L2:
+            W = _composite(cat, L1, R2)
+            assert W & L2 == L1 and W & R1 == R2
+            pairs += 1
+    assert pairs > len(wfs)
+
+
+def _transfer_systems(elements, leq):
+    """Every transfer system on a finite lattice, from the definition: a
+    relation R ⊆ ≤ that contains every x R x and is closed under
+    composition and restriction (x R y and z ≤ y give (x∧z) R z)."""
+
+    def meet(x, z):
+        lower = [w for w in elements if leq(w, x) and leq(w, z)]
+        return next(w for w in lower if all(leq(v, w) for v in lower))
+
+    strict = [(x, y) for x in elements for y in elements if x != y and leq(x, y)]
+    found = set()
+    for r in range(len(strict) + 1):
+        for chosen in itertools.combinations(strict, r):
+            R = set(chosen) | {(x, x) for x in elements}
+            if all((x, w) in R for x, y in R for y2, w in R if y == y2) and all(
+                (meet(x, z), z) in R for x, y in R for z in elements if leq(z, y)
+            ):
+                found.add(frozenset(R))
+    return found
+
+
+@pytest.mark.parametrize("p, q, count", [(1, 1, 10), (1, 2, 68)])
+def test_wfs_right_classes_are_transfer_systems(p, q, count):
+    """On a lattice the right classes of the weak factorization systems
+    are the transfer systems (Franchere–Ormsby–Osorno–Qin–Waugh,
+    Self-duality of the lattice of transfer systems via weak factorization
+    systems)."""
+    elements, leq = _grid_order(p, q)
+    cat = from_poset(elements, leq)
+    wfs, _ = weak_factorization_systems(cat)
+    rights = {
+        frozenset(
+            (cat.objects[cat.src(f)], cat.objects[cat.tgt(f)])
+            for f in range(len(cat.morphisms))
+            if R >> f & 1
+        )
+        for _, R in wfs
+    }
+    assert len(wfs) == len(rights) == count
+    assert rights == _transfer_systems(elements, leq)
+
+
+def test_bool3_wfs_pinned(bool3):
+    """450 transfer systems on the Boolean lattice of rank 3, counted by
+    brute force from the definition (87 s, too slow for this suite)."""
+    wfs, _ = weak_factorization_systems(bool3)
+    assert len(wfs) == 450
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_chain_distinct_weak_equivalences(n):
+    """The model structures on [n] have exactly 2ⁿ distinct classes W."""
+    result = enumerate_model_structures(_chain(n), "pruned")
+    assert len({ms.W.members for ms in result.structures}) == 2 ** n
 
 
 def test_census_find(arrow_census):

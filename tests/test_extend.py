@@ -28,6 +28,7 @@ from modelcat import (
     modelstruct,
     prop14_build,
 )
+from modelcat import extend as extend_mod
 from modelcat.extend import (
     check_fibration_transfer,
     cofibrant_approximation_square,
@@ -216,6 +217,28 @@ def test_thm15_verifies_the_opposite_base_once(diamond, diamond_minimal, monkeyp
     assert first == second and first.passed
     assert base.opposite is base.opposite and base.opposite.cat is opposite(diamond)
     assert base == diamond_minimal and repr(base) == repr(diamond_minimal)
+
+
+def test_thm15_shares_the_opposite_classes(diamond, diamond_minimal, diamond_census, monkeypatch):
+    """Two checks over one candidate hand the primal checker the same
+    opposite class objects, cached on the candidate's classes, so the second
+    check reads the first one's closure verdicts."""
+    seen = []
+    primal = extend_mod.check_thm12
+
+    def recording(cand, stop_at_first=False):
+        seen.append(cand)
+        return primal(cand, stop_at_first=stop_at_first)
+
+    monkeypatch.setattr(extend_mod, "check_thm12", recording)
+    ms = diamond_census.structures[-1]
+    cand = ExtensionCandidate(diamond_minimal, ms.W, ms.C, ms.F)
+    first, second = check_thm15(cand), check_thm15(cand)
+    assert first == second == _thm15_rebuilding(cand)
+    for cand_op in seen:
+        assert cand_op.W_g is ms.W.opposite
+        assert cand_op.C_g is ms.F.opposite and cand_op.F_g is ms.C.opposite
+    assert len(seen) == 2 and ms.W.opposite.cat is opposite(diamond)
 
 
 def test_thm15_verdicts_match_rebuilding_oracle(diamond, diamond_minimal, diamond_census):

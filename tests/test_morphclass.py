@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,17 @@ from modelcat import (
     has_lifting,
     lifting_closure,
 )
+from modelcat.fincat import opposite
 from modelcat.morphclass import (
+    CheckResult,
     _closure_verdict,
     factor_pairs,
     factorizations,
+    factors_all,
+    first_factorization,
+    lifting_blocks,
     retract_pairs,
+    unliftable_pairs,
 )
 
 
@@ -310,6 +317,20 @@ def test_mask_is_the_members_bitmask(request, name):
             assert copy == cls and "mask" not in vars(copy)
 
 
+def test_opposite_class_is_cached(chain2):
+    """``opposite`` is the same members over the opposite category, built
+    once, and like ``mask`` invisible to ``==``, hashing, ``repr`` and
+    ``dataclasses.replace``."""
+    members = chain2.identity_set | {_mid(chain2, "f")}
+    cls, twin = MorphClass.of(chain2, members), MorphClass.of(chain2, members)
+    before = (hash(cls), repr(cls))
+    op = cls.opposite
+    assert op is cls.opposite and op.cat is opposite(chain2) and op.members == members
+    assert cls == twin and (hash(cls), repr(cls)) == before == (hash(twin), repr(twin))
+    assert "opposite" not in vars(twin)
+    assert "opposite" not in vars(dataclasses.replace(cls))
+
+
 def test_witness_is_read_only(chain2):
     """Verdicts are shared through the cache, so a witness must not be
     writable by one caller and seen changed by the next."""
@@ -387,3 +408,61 @@ def test_factorizations_match_brute_force(request, name):
                 key=lambda jp: (cat.tgt(jp[0]), jp[0], jp[1]),
             )
             assert list(factorizations(cat, f, left, right)) == want
+
+
+# -- bitmask checks against the frozenset loops ---------------------------
+
+
+def _has_lifting_loop(left, right):
+    """Oracle for ``has_lifting``: every (i, p) of the two member sets in
+    sorted order, looked up in the unliftable-square table."""
+    bad = unliftable_pairs(left.cat)
+    for i in sorted(left.members):
+        for p in sorted(right.members):
+            if (i, p) in bad:
+                top, bottom = bad[(i, p)]
+                return CheckResult.fail(
+                    "square with no lift", i=i, p=p, top=top, bottom=bottom
+                )
+    return CheckResult.ok("lifting")
+
+
+def _factors_all_loop(cat, left, right, description):
+    """Oracle for ``factors_all``: the frozenset factorization search, map
+    by map."""
+    for f in range(len(cat.morphisms)):
+        if first_factorization(cat, f, left, right) is None:
+            return CheckResult.fail(description, f=f)
+    return CheckResult.ok("factorization")
+
+
+def test_lifting_blocks_are_the_unliftable_pairs(bool3):
+    blocks = lifting_blocks(bool3)
+    assert {
+        (i, p) for i, b in enumerate(blocks) for p in range(len(blocks)) if b >> p & 1
+    } == set(unliftable_pairs(bool3))
+
+
+@pytest.mark.parametrize("name, sample", [("arrow", None), ("chain2", None), ("diamond", 4000)])
+def test_mask_checks_match_loops(request, name, sample):
+    """``has_lifting`` and ``factors_all`` on bitmasks give the loops'
+    verdicts and witnesses on every pair of subset classes (a seeded
+    sample of them on diamond)."""
+    cat = request.getfixturevalue(name)
+    n = len(cat.morphisms)
+    classes = [
+        MorphClass.of(cat, members)
+        for r in range(n + 1)
+        for members in itertools.combinations(range(n), r)
+    ]
+    pairs = list(itertools.product(classes, repeat=2))
+    if sample is not None:
+        pairs = random.Random(6).sample(pairs, sample)
+    failures = 0
+    for left, right in pairs:
+        lift = has_lifting(left, right)
+        assert lift == _has_lifting_loop(left, right)
+        factor = factors_all(cat, left.mask, right.mask, "no factorization")
+        assert factor == _factors_all_loop(cat, left.members, right.members, "no factorization")
+        failures += (not lift.passed) + (not factor.passed)
+    assert 0 < failures < 2 * len(pairs)
