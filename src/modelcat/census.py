@@ -10,12 +10,12 @@ them up; it must return exactly the naive set.  Every structure either mode
 returns is re-verified by :meth:`ModelStructure.build`.
 
 Every finite category with binary products is thin (k ≥ 2 maps A → B
-would give kⁿ maps A → Bⁿ), so the census reads a bicomplete category as a
-preorder, ``_ThinView``, and raises :class:`TheoremViolationError` if it is
-not thin.  The pair loop then works on ``int`` bitmasks only.  The tables
-it starts from (:func:`lifting_blocks`, :func:`factor_masks`) are cached
-on the category by :mod:`modelcat.morphclass`; the thin view and the
-per-wfs object masks live for one census.
+would give kⁿ maps A → Bⁿ), so the census reads a bicomplete category as
+its preorder, :attr:`FinCat.preorder`, and raises
+:class:`TheoremViolationError` if it has none.  The pair loop then works on
+``int`` bitmasks only.  The preorder and the tables the loop starts from
+(:func:`lifting_blocks`, :func:`factor_masks`) are cached on the category;
+the per-wfs object masks live for one census.
 
 ``candidates_checked`` counts candidate triples in naive mode and pairs of
 weak factorization systems tried in pruned mode.  The budget bounds the
@@ -30,7 +30,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .fincat import FinCat, InputError, is_finitely_bicomplete
+from .fincat import FinCat, InputError, Preorder, is_finitely_bicomplete
 from .morphclass import MorphClass, factors_all, lifting_blocks
 from .modelstruct import ModelStructure, verify_model_structure
 from .extend import ExtensionKind, TheoremViolationError, classify_extension
@@ -69,60 +69,20 @@ def _members(mask: int) -> frozenset[int]:
     return frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)
 
 
-@dataclass(frozen=True)
-class _ThinView:
-    """A thin category as a preorder on its objects.
-
-    ``arrows`` lists (a, b, f) for every a ≤ b, f being the one arrow a→b,
-    in (a, b) order; ``up[a]`` and ``down[b]`` are the bitmasks of the
-    objects b ≥ a and a ≤ b."""
-
-    arrows: tuple[tuple[int, int, int], ...]
-    up: tuple[int, ...]
-    down: tuple[int, ...]
-
-    def object_masks(self, mask: int) -> tuple[list[int], list[int]]:
-        """For a class of arrows given as a bitmask, per object a the objects
-        b with a→b in the class, and per object b the objects a with a→b
-        in it."""
-        out = [0] * len(self.up)
-        into = [0] * len(self.up)
-        for a, b, f in self.arrows:
-            if mask >> f & 1:
-                out[a] |= 1 << b
-                into[b] |= 1 << a
-        return out, into
-
-    def two_of_three(self, W: int, W_out: list[int], W_in: list[int]) -> bool:
-        """Whether the class ``W`` (with its :meth:`object_masks`) satisfies
-        two-out-of-three.  The composable pairs are the triples a ≤ b ≤ c;
-        for fixed a→c the middle objects b form M = up[a] ∩ down[c].  If
-        a→c ∈ W, a→b and b→c must be both in W or both out; otherwise they
-        must not be both in."""
-        up, down = self.up, self.down
-        for a, c, f in self.arrows:
-            inside = W_out[a] ^ W_in[c] if W >> f & 1 else W_out[a] & W_in[c]
-            if inside & up[a] & down[c]:
-                return False
-        return True
-
-
-def _thin_view(cat: FinCat) -> _ThinView:
-    """The preorder view of ``cat``; raises :class:`TheoremViolationError`
-    if some hom-set holds two maps."""
-    up = [0] * len(cat.objects)
-    down = [0] * len(cat.objects)
-    arrows = []
-    for (a, b), maps in sorted(cat.hom_table.items()):
-        if len(maps) > 1:
-            raise TheoremViolationError(
-                "a finitely bicomplete finite category must be thin, but "
-                f"{cat.objects[a]} → {cat.objects[b]} has {len(maps)} maps"
-            )
-        up[a] |= 1 << b
-        down[b] |= 1 << a
-        arrows.append((a, b, maps[0]))
-    return _ThinView(tuple(arrows), tuple(up), tuple(down))
+def _thin_view(cat: FinCat) -> Preorder:
+    """``cat.preorder``; raises :class:`TheoremViolationError` if ``cat``
+    is not thin or its table is not the composition of a preorder."""
+    po = cat.preorder
+    if po is None:
+        why = "its table is not the composition of a preorder"
+        for (a, b), maps in sorted(cat.hom_table.items()):
+            if len(maps) > 1:
+                why = f"{cat.objects[a]} → {cat.objects[b]} has {len(maps)} maps"
+                break
+        raise TheoremViolationError(
+            f"a finitely bicomplete finite category must be thin, but {why}"
+        )
+    return po
 
 
 def weak_factorization_systems(
@@ -169,7 +129,7 @@ def weak_factorization_systems(
 
 
 def _pruned_triples(
-    cat: FinCat, thin: _ThinView, budget: int
+    cat: FinCat, thin: Preorder, budget: int
 ) -> tuple[list[tuple[frozenset[int], frozenset[int], frozenset[int]]], int]:
     """Model structures (W, C, F) from pairs of weak factorization systems
     (L₁, R₁) = (C∩W, F) and (L₂, R₂) = (C, F∩W) with L₁ ⊆ L₂ and

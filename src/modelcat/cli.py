@@ -7,6 +7,7 @@ Witnesses are rendered with the user-supplied morphism and object names.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -109,7 +110,11 @@ def _require_wcf(classes: dict, path: str) -> tuple:
 
 
 def _build_verified(cat, classes, path) -> ModelStructure:
+    """The triple of a class file, verified; refuses a category that is not
+    finitely bicomplete, where no verdict on the axioms means anything."""
     W, C, F = _require_wcf(classes, path)
+    if not is_finitely_bicomplete(cat).ok:
+        raise InputError("model structures require a finitely bicomplete category")
     return ModelStructure.build(cat, W, C, F)
 
 
@@ -286,7 +291,9 @@ def _finish(command: str, passed: bool, payload: dict, fmt: str) -> int:
 # -- argument parsing ---------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mcx`` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mcx", description="Model structures on finite categories."
     )

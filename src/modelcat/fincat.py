@@ -6,6 +6,16 @@ string names only matter for file I/O and report rendering.  All computed
 canonical choice among equally valid apexes is the one with the least
 object index (then least leg ids), so every downstream construction is
 deterministic.
+
+A category whose hom-sets hold at most one map, with the table composing
+them, is a preorder on its objects; :attr:`FinCat.preorder` reads it once
+(up/down object masks, the one arrow a→b, least-index joins and meets)
+and is None for any other category, malformed ones included.
+:func:`is_finitely_bicomplete` reads it: on a preorder every cocone
+commutes, so an initial object is a least object and a coproduct or
+pushout into x and y is a join of x and y, the least-index one being the
+apex :func:`colimit` picks; dually for limits.  Elsewhere it computes
+every (co)limit, which ``_search_bicomplete`` keeps as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 
 class InputError(Exception):
@@ -147,6 +158,119 @@ class FinCat:
     def scratch(self) -> dict:
         """Per-instance cache shared by the analysis modules."""
         return {}
+
+    @cached_property
+    def preorder(self) -> Preorder | None:
+        """The category as a preorder on its objects, or None unless every
+        hom-set holds at most one map and ``table`` is exactly the
+        composition of those maps.  A malformed instance (rows of the wrong
+        length, dangling ids) gives None, never an exception."""
+        try:
+            return _read_preorder(self)
+        except (AttributeError, IndexError, TypeError):
+            return None
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True)
+class Preorder:
+    """A thin category read as a preorder on its objects.
+
+    ``arrow[a][b]`` is the one arrow a→b, or -1 when a ≰ b; ``arrows``
+    lists (a, b, arrow[a][b]) for every a ≤ b in (a, b) order; ``up[a]``
+    and ``down[b]`` are the bitmasks of the objects b ≥ a and a ≤ b.
+    """
+
+    arrow: tuple[tuple[int, ...], ...]
+    arrows: tuple[tuple[int, int, int], ...]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
+
+    def join(self, *xs: int) -> int | None:
+        """The least-index join of the objects ``xs``, which is the apex
+        :func:`colimit` picks (``join()`` is the least object), or None."""
+        return _least_bound(self.up, xs)
+
+    def meet(self, *xs: int) -> int | None:
+        """The least-index meet of ``xs`` (``meet()`` is the greatest
+        object), or None."""
+        return _least_bound(self.down, xs)
+
+    def object_masks(self, mask: int) -> tuple[list[int], list[int]]:
+        """For a class of arrows given as a bitmask, per object a the objects
+        b with a→b in the class, and per object b the objects a with a→b
+        in it."""
+        out = [0] * len(self.up)
+        into = [0] * len(self.up)
+        for a, b, f in self.arrows:
+            if mask >> f & 1:
+                out[a] |= 1 << b
+                into[b] |= 1 << a
+        return out, into
+
+    def two_of_three(self, W: int, W_out: list[int], W_in: list[int]) -> bool:
+        """Whether the class ``W`` (with its :meth:`object_masks`) satisfies
+        two-out-of-three.  The composable pairs are the triples a ≤ b ≤ c;
+        for fixed a→c the middle objects b form M = up[a] ∩ down[c].  If
+        a→c ∈ W, a→b and b→c must be both in W or both out; otherwise they
+        must not be both in."""
+        up, down = self.up, self.down
+        for a, c, f in self.arrows:
+            inside = W_out[a] ^ W_in[c] if W >> f & 1 else W_out[a] & W_in[c]
+            if inside & up[a] & down[c]:
+                return False
+        return True
+
+
+def _least_bound(side: tuple[int, ...], xs: tuple[int, ...]) -> int | None:
+    """The least-index b bounding every x (b in each ``side[x]``) and
+    bounded by every such bound (each one in ``side[b]``)."""
+    bounds = (1 << len(side)) - 1
+    for x in xs:
+        bounds &= side[x]
+    for b in _bits(bounds):
+        if not bounds & ~side[b]:
+            return b
+    return None
+
+
+def _read_preorder(cat: FinCat) -> Preorder | None:
+    k, n = len(cat.objects), len(cat.morphisms)
+    ends = [(m.src, m.tgt) for m in cat.morphisms]
+    arrow = [[-1] * k for _ in range(k)]
+    for f, (a, b) in enumerate(ends):
+        if not (0 <= a < k and 0 <= b < k) or arrow[a][b] >= 0:
+            return None
+        arrow[a][b] = f
+    if len(cat.identities) != k or any(
+        arrow[x][x] != i or i < 0 for x, i in enumerate(cat.identities)
+    ):
+        return None
+    up = [sum(1 << b for b in range(k) if row[b] >= 0) for row in arrow]
+    down = [sum(1 << a for a in range(k) if arrow[a][b] >= 0) for b in range(k)]
+    if any(up[b] & ~up[a] for a, b in ends):  # not transitive
+        return None
+    # g∘f is the arrow src f → tgt g exactly when tgt f = src g
+    into: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for f, (a, b) in enumerate(ends):
+        into[b].append((f, a))
+    if len(cat.table) != n:
+        return None
+    for g, (a, b) in enumerate(ends):
+        row = [-1] * n
+        for f, s in into[a]:
+            row[f] = arrow[s][b]
+        if list(cat.table[g]) != row:
+            return None
+    arrows = tuple((a, b, arrow[a][b]) for a in range(k) for b in _bits(up[a]))
+    return Preorder(tuple(map(tuple, arrow)), arrows, tuple(up), tuple(down))
 
 
 def is_iso(cat: FinCat, f: int) -> bool:
@@ -422,10 +546,50 @@ class BicompletenessReport:
 def is_finitely_bicomplete(cat: FinCat) -> BicompletenessReport:
     """Existence of initial/terminal objects, binary (co)products, pushouts
     and pullbacks, which is all the finite (co)completeness the theorem
-    engines consume."""
+    engines consume.
+
+    On a preorder every cocone commutes, so initial and terminal objects
+    are a bottom and a top, a coproduct of x and y or a pushout of a span
+    into x and y exists iff x and y have a join, and dually for meets;
+    the report lists the same gaps, in the same order, as the search."""
     cache = cat.scratch
-    if "bicomplete" in cache:
-        return cache["bicomplete"]
+    if "bicomplete" not in cache:
+        po = cat.preorder
+        missing = _search_bicomplete(cat) if po is None else _thin_bicomplete(cat, po)
+        cache["bicomplete"] = BicompletenessReport(tuple(missing))
+    return cache["bicomplete"]
+
+
+def _thin_bicomplete(cat: FinCat, po: Preorder) -> list[tuple]:
+    missing: list[tuple] = []
+    if po.join() is None:
+        missing.append(("initial",))
+    if po.meet() is None:
+        missing.append(("terminal",))
+    n_obj = len(cat.objects)
+    ends_only = len(missing)
+    for x in range(n_obj):
+        for y in range(x, n_obj):
+            if po.join(x, y) is None:
+                missing.append(("coproduct", x, y))
+            if po.meet(x, y) is None:
+                missing.append(("product", x, y))
+    if len(missing) == ends_only:  # every pair has a join and a meet
+        return missing
+    ends = [(m.src, m.tgt) for m in cat.morphisms]
+    for f, (a, b) in enumerate(ends):
+        for g in range(f, len(ends)):
+            c, d = ends[g]
+            if a == c and po.join(b, d) is None:
+                missing.append(("pushout", f, g))
+            if b == d and po.meet(a, c) is None:
+                missing.append(("pullback", f, g))
+    return missing
+
+
+def _search_bicomplete(cat: FinCat) -> list[tuple]:
+    """Every gap :func:`is_finitely_bicomplete` reports, by computing each
+    (co)limit; the oracle for the preorder closed form."""
     missing: list[tuple] = []
     if not colimit(cat, ("initial",)).exists:
         missing.append(("initial",))
@@ -444,9 +608,7 @@ def is_finitely_bicomplete(cat: FinCat) -> BicompletenessReport:
                 missing.append(("pushout", f, g))
             if cat.tgt(f) == cat.tgt(g) and not limit(cat, ("pullback", f, g)).exists:
                 missing.append(("pullback", f, g))
-    report = BicompletenessReport(tuple(missing))
-    cache["bicomplete"] = report
-    return report
+    return missing
 
 
 # -- construction helpers ----------------------------------------------

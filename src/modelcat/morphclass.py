@@ -28,6 +28,18 @@ describes, so a cache lives exactly as long as what its caller keeps:
 
 Cached verdicts are shared, so their witnesses are read-only mappings.
 
+Every finitely bicomplete finite category is thin, so the per-category
+tables have closed forms on :attr:`FinCat.preorder`, and
+:func:`unliftable_pairs` / :func:`lifting_blocks`, :func:`retract_pairs`,
+:func:`pushout_transfers` (and so :func:`pullback_transfers`, through the
+opposite category) and :func:`factor_pairs` read it whenever it exists.
+On a preorder every square and every cocone commutes and each hom-set has
+one element, so the generic search has exactly one candidate wherever it
+has any, and the closed form names that candidate: the answers, witnesses
+and orders are the same.  On any other category each table runs its
+generic search, kept as a private ``_search_*`` function that the tests
+also use as the oracle of the closed form.
+
 The searches shared by the axiom and hypothesis lists live here once:
 :func:`factorizations` (the only class-membership filter of the
 factorization pairs), :func:`factors_all` ("every map factors through
@@ -42,7 +54,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Container, Iterable, Iterator, Mapping
 
-from .fincat import FinCat, InputError, colimit, opposite
+from .fincat import FinCat, InputError, _bits, colimit, opposite
 
 
 class TheoremViolationError(AssertionError):
@@ -214,90 +226,144 @@ class Factorization:
 
 def unliftable_pairs(cat: FinCat) -> dict[tuple[int, int], tuple[int, int]]:
     """For each (i, p) that admits some commuting square with no diagonal
-    lift, the least such (top, bottom) witness."""
+    lift, the least such (top, bottom) witness.  On a preorder the only
+    square is (a→x, b→y) for i: a→b and p: x→y (see
+    :func:`lifting_blocks`)."""
     cache = cat.scratch
     if "unliftable" not in cache:
-        out: dict[tuple[int, int], tuple[int, int]] = {}
-        n = len(cat.morphisms)
-        for i in range(n):
-            for p in range(n):
-                hooks = cat.hom(cat.tgt(i), cat.src(p))
-                for top in cat.hom(cat.src(i), cat.src(p)):
-                    done = False
-                    for bottom in cat.hom(cat.tgt(i), cat.tgt(p)):
-                        if cat.table[p][top] != cat.table[bottom][i]:
-                            continue
-                        if not any(
-                            cat.table[h][i] == top and cat.table[p][h] == bottom
-                            for h in hooks
-                        ):
-                            out[(i, p)] = (top, bottom)
-                            done = True
-                            break
-                    if done:
-                        break
-        cache["unliftable"] = out
+        po = cat.preorder
+        if po is None:
+            cache["unliftable"] = _search_unliftable_pairs(cat)
+        else:
+            ends = [(m.src, m.tgt) for m in cat.morphisms]
+            cache["unliftable"] = {
+                (i, p): (po.arrow[ends[i][0]][ends[p][0]], po.arrow[ends[i][1]][ends[p][1]])
+                for i, block in enumerate(lifting_blocks(cat))
+                for p in _bits(block)
+            }
     return cache["unliftable"]
+
+
+def _search_unliftable_pairs(cat: FinCat) -> dict[tuple[int, int], tuple[int, int]]:
+    out: dict[tuple[int, int], tuple[int, int]] = {}
+    n = len(cat.morphisms)
+    for i in range(n):
+        for p in range(n):
+            hooks = cat.hom(cat.tgt(i), cat.src(p))
+            for top in cat.hom(cat.src(i), cat.src(p)):
+                done = False
+                for bottom in cat.hom(cat.tgt(i), cat.tgt(p)):
+                    if cat.table[p][top] != cat.table[bottom][i]:
+                        continue
+                    if not any(
+                        cat.table[h][i] == top and cat.table[p][h] == bottom
+                        for h in hooks
+                    ):
+                        out[(i, p)] = (top, bottom)
+                        done = True
+                        break
+                if done:
+                    break
+    return out
 
 
 def retract_pairs(cat: FinCat) -> tuple[tuple[int, int, tuple[int, int, int, int]], ...]:
     """All (f, g, (i_A, r_A, i_B, r_B)) with f != g exhibiting f as a
-    retract of g in the arrow category."""
+    retract of g in the arrow category.  On a preorder r∘i = id forces
+    i and r to be inverse, so these are the pairs whose sources and
+    targets are isomorphic, and a poset has none."""
     cache = cat.scratch
     if "retracts" not in cache:
-        out = []
-        n = len(cat.morphisms)
-        for f in range(n):
-            a, b = cat.src(f), cat.tgt(f)
-            for g in range(n):
-                if f == g:
-                    continue
-                a2, b2 = cat.src(g), cat.tgt(g)
-                witness = None
-                for ia in cat.hom(a, a2):
-                    for ra in cat.hom(a2, a):
-                        if cat.table[ra][ia] != cat.identities[a]:
+        po = cat.preorder
+        if po is None:
+            cache["retracts"] = _search_retract_pairs(cat)
+        else:
+            iso = [up & down for up, down in zip(po.up, po.down)]
+            ends = [(m.src, m.tgt) for m in cat.morphisms]
+            arrow = po.arrow
+            cache["retracts"] = tuple(
+                (f, g, (arrow[a][a2], arrow[a2][a], arrow[b][b2], arrow[b2][b]))
+                for f, (a, b) in enumerate(ends)
+                if iso[a] & (iso[a] - 1) or iso[b] & (iso[b] - 1)  # else only g = f
+                for g, (a2, b2) in enumerate(ends)
+                if g != f and iso[a] >> a2 & 1 and iso[b] >> b2 & 1
+            )
+    return cache["retracts"]
+
+
+def _search_retract_pairs(cat: FinCat) -> tuple:
+    out = []
+    n = len(cat.morphisms)
+    for f in range(n):
+        a, b = cat.src(f), cat.tgt(f)
+        for g in range(n):
+            if f == g:
+                continue
+            a2, b2 = cat.src(g), cat.tgt(g)
+            witness = None
+            for ia in cat.hom(a, a2):
+                for ra in cat.hom(a2, a):
+                    if cat.table[ra][ia] != cat.identities[a]:
+                        continue
+                    for ib in cat.hom(b, b2):
+                        if cat.table[g][ia] != cat.table[ib][f]:
                             continue
-                        for ib in cat.hom(b, b2):
-                            if cat.table[g][ia] != cat.table[ib][f]:
+                        for rb in cat.hom(b2, b):
+                            if cat.table[rb][ib] != cat.identities[b]:
                                 continue
-                            for rb in cat.hom(b2, b):
-                                if cat.table[rb][ib] != cat.identities[b]:
-                                    continue
-                                if cat.table[f][ra] != cat.table[rb][g]:
-                                    continue
-                                witness = (ia, ra, ib, rb)
-                                break
-                            if witness:
-                                break
+                            if cat.table[f][ra] != cat.table[rb][g]:
+                                continue
+                            witness = (ia, ra, ib, rb)
+                            break
                         if witness:
                             break
                     if witness:
                         break
                 if witness:
-                    out.append((f, g, witness))
-        cache["retracts"] = tuple(out)
-    return cache["retracts"]
+                    break
+            if witness:
+                out.append((f, g, witness))
+    return tuple(out)
 
 
 def pushout_transfers(cat: FinCat) -> tuple[tuple[int, int, int], ...]:
     """All (f, g, f') where f' is the pushout (cobase change) of f along g,
-    over every span (f, g) whose pushout exists."""
+    over every span (f, g) whose pushout exists.  On a preorder f' is
+    tgt g → join(tgt f, tgt g), the apex :func:`colimit` picks."""
     cache = cat.scratch
     if "pushout_transfers" not in cache:
-        out = []
-        n = len(cat.morphisms)
-        for f in range(n):
-            for g in range(n):
-                if cat.src(f) != cat.src(g):
-                    continue
-                r = colimit(cat, ("pushout", f, g))
-                if r.exists:
-                    # legs are (tgt f → P, tgt g → P); the cobase change of
-                    # f along g is the leg out of tgt(g)
-                    out.append((f, g, r.legs[1]))
-        cache["pushout_transfers"] = tuple(out)
+        po = cat.preorder
+        if po is None:
+            cache["pushout_transfers"] = _search_pushout_transfers(cat)
+        else:
+            ends = [(m.src, m.tgt) for m in cat.morphisms]
+            out_of = [[] for _ in cat.objects]
+            for g, (a, _) in enumerate(ends):
+                out_of[a].append(g)
+            out = []
+            for f, (a, x) in enumerate(ends):
+                for g in out_of[a]:
+                    y = ends[g][1]
+                    p = po.join(x, y)
+                    if p is not None:
+                        out.append((f, g, po.arrow[y][p]))
+            cache["pushout_transfers"] = tuple(out)
     return cache["pushout_transfers"]
+
+
+def _search_pushout_transfers(cat: FinCat) -> tuple[tuple[int, int, int], ...]:
+    out = []
+    n = len(cat.morphisms)
+    for f in range(n):
+        for g in range(n):
+            if cat.src(f) != cat.src(g):
+                continue
+            r = colimit(cat, ("pushout", f, g))
+            if r.exists:
+                # legs are (tgt f → P, tgt g → P); the cobase change of
+                # f along g is the leg out of tgt(g)
+                out.append((f, g, r.legs[1]))
+    return tuple(out)
 
 
 def pullback_transfers(cat: FinCat) -> tuple[tuple[int, int, int], ...]:
@@ -311,29 +377,64 @@ def pullback_transfers(cat: FinCat) -> tuple[tuple[int, int, int], ...]:
 
 def lifting_blocks(cat: FinCat) -> tuple[int, ...]:
     """Per morphism i, the bitmask of the maps p such that some commuting
-    (i, p) square has no lift: :func:`unliftable_pairs` as bitmasks."""
+    (i, p) square has no lift: :func:`unliftable_pairs` as bitmasks.
+
+    On a preorder, i: a→b and p: x→y have a square iff a ≤ x and b ≤ y,
+    and it lifts iff b ≤ x, so the blocked p are the maps into up[b] out of
+    the objects of up[a] that are not in up[b]."""
     cache = cat.scratch
     if "blocks" not in cache:
+        po = cat.preorder
         blocks = [0] * len(cat.morphisms)
-        for i, p in unliftable_pairs(cat):
-            blocks[i] |= 1 << p
+        if po is None:
+            for i, p in unliftable_pairs(cat):
+                blocks[i] |= 1 << p
+        else:
+            out_of = [0] * len(cat.objects)  # per object, the maps out of it
+            into = [0] * len(cat.objects)  # per object, the maps into it
+            for a, b, f in po.arrows:
+                out_of[a] |= 1 << f
+                into[b] |= 1 << f
+
+            def maps(per_object: list[int], objects: int) -> int:
+                found = 0
+                for x in _bits(objects):
+                    found |= per_object[x]
+                return found
+
+            into_up = [maps(into, up) for up in po.up]
+            for i, m in enumerate(cat.morphisms):
+                a, b = m.src, m.tgt
+                blocks[i] = maps(out_of, po.up[a] & ~po.up[b]) & into_up[b]
         cache["blocks"] = tuple(blocks)
     return cache["blocks"]
 
 
 def factor_pairs(cat: FinCat, f: int) -> tuple[tuple[int, int], ...]:
-    """All (j, p) with p∘j = f, ordered by (middle object, j, p)."""
+    """All (j, p) with p∘j = f, ordered by (middle object, j, p).  On a
+    preorder that is one pair per middle object m with a ≤ m ≤ b."""
     cache = cat.scratch.setdefault("factor_pairs", {})
     if f not in cache:
-        out = []
+        po = cat.preorder
         a, b = cat.src(f), cat.tgt(f)
-        for mid in range(len(cat.objects)):
-            for j in cat.hom(a, mid):
-                for p in cat.hom(mid, b):
-                    if cat.table[p][j] == f:
-                        out.append((j, p))
-        cache[f] = tuple(out)
+        if po is None:
+            cache[f] = _search_factor_pairs(cat, f)
+        else:
+            cache[f] = tuple(
+                (po.arrow[a][m], po.arrow[m][b]) for m in _bits(po.up[a] & po.down[b])
+            )
     return cache[f]
+
+
+def _search_factor_pairs(cat: FinCat, f: int) -> tuple[tuple[int, int], ...]:
+    out = []
+    a, b = cat.src(f), cat.tgt(f)
+    for mid in range(len(cat.objects)):
+        for j in cat.hom(a, mid):
+            for p in cat.hom(mid, b):
+                if cat.table[p][j] == f:
+                    out.append((j, p))
+    return tuple(out)
 
 
 def factor_masks(cat: FinCat, f: int) -> tuple[tuple[int, int], ...]:

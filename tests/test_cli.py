@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,7 +15,8 @@ from hypothesis import strategies as st
 
 from modelcat import load_fixture, parse_category, serialize_category
 from modelcat.catio import fixture_path, load_classes, serialize_classes
-from modelcat.cli import run
+import modelcat
+from modelcat.cli import build_parser, run
 from modelcat.morphclass import MorphClass
 
 FIX = {
@@ -332,6 +336,71 @@ def test_properness_fail_pins_message(capsys, tmp_path):
 
 
 # -- exit code 2: input and usage errors --------------------------------
+
+
+def _retract_requests(tmp_path):
+    """Every structure command on the non-bicomplete retract category with
+    W = identities and C = F = all maps, which passes every axiom check."""
+    cat = load_fixture("retract.cat")
+    triple = _write_classes(tmp_path / "ids_all.classes", cat, W="ids", C="all", F="all")
+    wg = _write_classes(tmp_path / "wg.classes", cat, Wg="all")
+    identity = {
+        "objects": {o: o for o in cat.objects},
+        "morphisms": {m.name: m.name for m in cat.morphisms},
+    }
+    ids = {o: cat.name(cat.identities[x]) for x, o in enumerate(cat.objects)}
+    adj = tmp_path / "retract_identity.adj"
+    adj.write_text(json.dumps({
+        "source": FIX["retract.cat"], "target": FIX["retract.cat"],
+        "left": identity, "right": identity, "unit": ids, "counit": ids,
+    }))
+    retract, adj = FIX["retract.cat"], str(adj)
+    pair = ["--classes-m", triple, "--classes-n", triple]
+    requests = [["verify", retract, triple], ["classify", retract, triple, triple]]
+    requests += [["properness", retract, triple, "--side", side] for side in ("left", "right")]
+    requests += [
+        ["extend", retract, "--theorem", t, "--base", triple, "--candidate", triple]
+        for t in ("1.2", "1.5", "1.7")
+    ]
+    requests.append(["extend", retract, "--theorem", "p1.4", "--base", triple, "--candidate", wg])
+    requests += [["quillen", check, adj] + pair for check in ("pair", "equivalence")]
+    requests.append(["quillen", "derived-ff", adj] + pair + ["--ext-m", triple, "--ext-n", triple])
+    return requests
+
+
+def test_structure_commands_refuse_a_non_bicomplete_category(capsys, tmp_path):
+    """No structure command prints "pass" on a category without the finite
+    limits and colimits the axioms are stated for; each is an input error."""
+    for argv in _retract_requests(tmp_path):
+        for fmt in ("text", "json"):
+            assert run(argv + ["--format", fmt]) == 2, argv
+            captured = capsys.readouterr()
+            assert "pass" not in captured.out, argv
+            assert "finitely bicomplete" in captured.err, argv
+
+
+def test_parser_built_once_answers_like_a_fresh_process(capsys):
+    """The parser is built once per process; a JSON call, a text call, a
+    usage error and a valid call after it each give the output and exit
+    code of a fresh ``mcx`` process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(modelcat.__file__).parents[1])}
+    calls = [
+        ["verify", FIX["arrow.cat"], FIX["arrow_minimal.classes"], "--format", "json"],
+        ["verify", FIX["arrow.cat"], FIX["arrow_all.classes"]],
+        ["verify", FIX["arrow.cat"], "--format", "yaml"],
+        ["minimal", FIX["diamond.cat"]],
+    ]
+    for argv in calls:
+        code = run(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "modelcat.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
+    assert build_parser() is build_parser()
 
 
 def test_missing_limit_exits_2(capsys, tmp_path):

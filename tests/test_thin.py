@@ -1,0 +1,303 @@
+"""The preorder view of a thin category and the closed-form tables read
+from it, each checked against the generic search it replaces."""
+
+import dataclasses
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modelcat import census as census_mod
+from modelcat import fincat, morphclass
+from modelcat.fincat import (
+    FinCat,
+    Morphism,
+    build_category,
+    is_finitely_bicomplete,
+    opposite,
+)
+from modelcat.catio import load_fixture
+from modelcat.extend import TheoremViolationError
+from modelcat.morphclass import (
+    factor_pairs,
+    lifting_blocks,
+    pullback_transfers,
+    pushout_transfers,
+    retract_pairs,
+    unliftable_pairs,
+)
+
+
+def _preorder_category(elements, leq):
+    """The thin category of a finite preorder on named elements: one arrow
+    per x ≤ y (``id_x`` when x = y) and every composite spelled out, so
+    isomorphic objects are allowed."""
+
+    def name(a, b):
+        return f"id_{a}" if a == b else f"{a}_to_{b}"
+
+    morphisms = [
+        (name(a, b), a, b) for a in elements for b in elements if a != b and leq(a, b)
+    ]
+    comps = {
+        (name(b, c), name(a, b)): name(a, c)
+        for a, b, c in itertools.product(elements, repeat=3)
+        if leq(a, b) and leq(b, c)
+    }
+    return build_category(list(elements), morphisms, comps)
+
+
+def _lattice(*lengths):
+    """The product of chains [l1] × [l2] × ...; bool_k is (1,) * k."""
+    points = {
+        ".".join(map(str, p)): p
+        for p in itertools.product(*(range(n + 1) for n in lengths))
+    }
+    return _preorder_category(
+        list(points),
+        lambda a, b: all(x <= y for x, y in zip(points[a], points[b])),
+    )
+
+
+def _closure(elements, pairs):
+    """The preorder on ``elements`` generated by ``pairs``."""
+    leq = {(x, x) for x in elements} | set(pairs)
+    while more := {(a, d) for a, b in leq for c, d in leq if b == c} - leq:
+        leq |= more
+    return leq
+
+
+def _relation(pairs):
+    """The thin category of the preorder generated by ``pairs`` on the
+    elements they name."""
+    elements = sorted({x for pair in pairs for x in pair})
+    leq = _closure(elements, pairs)
+    return _preorder_category(elements, lambda a, b: (a, b) in leq)
+
+
+def _relabel(cat: FinCat, obj_order, mor_order) -> FinCat:
+    """``cat`` with object ``obj_order[i]`` renumbered i and morphism
+    ``mor_order[j]`` renumbered j."""
+    obj = {x: i for i, x in enumerate(obj_order)}
+    mor = {f: j for j, f in enumerate(mor_order)}
+    return FinCat(
+        tuple(cat.objects[x] for x in obj_order),
+        tuple(Morphism(cat.name(f), obj[cat.src(f)], obj[cat.tgt(f)]) for f in mor_order),
+        tuple(mor[cat.identities[x]] for x in obj_order),
+        tuple(
+            tuple(mor[cat.table[g][f]] if cat.table[g][f] >= 0 else -1 for f in mor_order)
+            for g in mor_order
+        ),
+    )
+
+
+FIXTURES = ("pt", "arrow", "chain2", "diamond", "retract", "bool3")
+
+BUILT = {
+    **{f"[{n}]": (lambda n=n: _lattice(n)) for n in range(3, 9)},
+    "[1]x[2]": lambda: _lattice(1, 2),
+    "[2]x[2]": lambda: _lattice(2, 2),
+    "[1]x[3]": lambda: _lattice(1, 3),
+    "[2]x[3]": lambda: _lattice(2, 3),
+    "bool3": lambda: _lattice(1, 1, 1),
+    "bool4": lambda: _lattice(1, 1, 1, 1),
+    # posets that are not lattices
+    "V": lambda: _relation([("a", "b"), ("a", "c")]),
+    "discrete2": lambda: _preorder_category(["a", "b"], lambda x, y: x == y),
+    # thin categories that are not posets: a ≅ b, with and without a top
+    "iso+top": lambda: _relation([("a", "b"), ("b", "a"), ("a", "t")]),
+    "iso,no top": lambda: _relation([("a", "b"), ("b", "a"), ("a", "c"), ("a", "d")]),
+}
+
+
+def _assert_tables_match_search(cat: FinCat) -> None:
+    """Every table and the bicompleteness gaps equal their generic search,
+    in the same order and with the same witnesses."""
+    searched = morphclass._search_unliftable_pairs(cat)
+    assert list(unliftable_pairs(cat).items()) == list(searched.items())
+    blocks = [0] * len(cat.morphisms)
+    for i, p in searched:
+        blocks[i] |= 1 << p
+    assert lifting_blocks(cat) == tuple(blocks)
+    assert retract_pairs(cat) == morphclass._search_retract_pairs(cat)
+    assert pushout_transfers(cat) == morphclass._search_pushout_transfers(cat)
+    assert pullback_transfers(cat) == morphclass._search_pushout_transfers(opposite(cat))
+    for f in range(len(cat.morphisms)):
+        assert factor_pairs(cat, f) == morphclass._search_factor_pairs(cat, f)
+    assert is_finitely_bicomplete(cat).missing == tuple(fincat._search_bicomplete(cat))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_tables_match_search(name):
+    cat = load_fixture(f"{name}.cat")  # a fresh copy: no cached tables
+    assert (cat.preorder is None) == (name == "retract")
+    _assert_tables_match_search(cat)
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_built_tables_match_search(name):
+    cat = BUILT[name]()
+    assert cat.preorder is not None
+    _assert_tables_match_search(cat)
+
+
+@pytest.mark.parametrize("name", ["iso+top", "iso,no top"])
+def test_relabelled_isomorphs_match_search(name):
+    """Every object order of the non-skeletal inputs, so the least-index
+    choice among isomorphic joins and meets meets every position."""
+    cat = BUILT[name]()
+    n = len(cat.morphisms)
+    for obj_order in itertools.permutations(range(len(cat.objects))):
+        for mor_order in (range(n), range(n - 1, -1, -1)):
+            _assert_tables_match_search(_relabel(cat, obj_order, list(mor_order)))
+
+
+def test_non_lattices_have_gaps_and_isomorphs_have_retracts():
+    """The extra inputs reach the branches a lattice does not: missing
+    joins and meets, and retract pairs between isomorphic objects."""
+    for name in ("V", "discrete2", "iso,no top"):
+        assert not is_finitely_bicomplete(BUILT[name]()).ok
+    assert is_finitely_bicomplete(BUILT["iso+top"]()).ok
+    for name in ("iso+top", "iso,no top"):
+        assert retract_pairs(BUILT[name]())
+
+
+@st.composite
+def _relabelled_posets(draw):
+    k = draw(st.integers(min_value=1, max_value=5))
+    elements = [str(i) for i in range(k)]
+    # only pairs i < j, so the closure is antisymmetric
+    below = [pair for pair in itertools.combinations(elements, 2) if draw(st.booleans())]
+    leq = _closure(elements, below)
+    cat = _preorder_category(elements, lambda a, b: (a, b) in leq)
+    obj_order = draw(st.permutations(range(k)))
+    mor_order = draw(st.permutations(range(len(cat.morphisms))))
+    return _relabel(cat, obj_order, mor_order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cat=_relabelled_posets())
+def test_random_relabelled_posets_match_search(cat):
+    assert cat.preorder is not None
+    _assert_tables_match_search(cat)
+
+
+def test_thin_categories_never_search(monkeypatch):
+    """On a thin category no table falls back to a generic search."""
+
+    def searched(*args):
+        raise AssertionError("generic search on a thin category")
+
+    for name in ("_search_unliftable_pairs", "_search_retract_pairs",
+                 "_search_pushout_transfers", "_search_factor_pairs"):
+        monkeypatch.setattr(morphclass, name, searched)
+    monkeypatch.setattr(fincat, "_search_bicomplete", searched)
+    cat = _lattice(2, 2)
+    assert is_finitely_bicomplete(cat).ok
+    unliftable_pairs(cat)
+    retract_pairs(cat)
+    pullback_transfers(cat)
+    for f in range(len(cat.morphisms)):
+        factor_pairs(cat, f)
+
+
+# -- the preorder view itself --------------------------------------------
+
+
+def test_preorder_reads_the_hom_sets(diamond):
+    po = diamond.preorder
+    for a, b in itertools.product(range(len(diamond.objects)), repeat=2):
+        maps = diamond.hom(a, b)
+        assert po.arrow[a][b] == (maps[0] if maps else -1)
+        assert (po.up[a] >> b & 1) == (po.down[b] >> a & 1) == bool(maps)
+    k = len(diamond.objects)
+    assert po.arrows == tuple(
+        (a, b, po.arrow[a][b]) for a in range(k) for b in range(k) if po.arrow[a][b] >= 0
+    )
+    assert sorted(f for _, _, f in po.arrows) == list(range(len(diamond.morphisms)))
+    bot, a, b, top = (diamond.objects.index(x) for x in ("bot", "a", "b", "top"))
+    assert (po.join(), po.meet()) == (bot, top)
+    assert (po.join(a, b), po.meet(a, b)) == (top, bot)
+
+
+def test_join_picks_the_least_index_isomorph():
+    """With two isomorphic joins the view picks the lower index, which is
+    the apex the colimit search picks."""
+    cat = BUILT["iso+top"]()  # objects a ≅ b ≤ t
+    po = cat.preorder
+    a, b = cat.objects.index("a"), cat.objects.index("b")
+    assert po.join(a, b) == po.join() == po.meet(a, b) == min(a, b)
+    assert fincat.colimit(cat, ("coproduct", a, b)).apex == min(a, b)
+
+
+def test_preorder_is_none_on_retract(retract):
+    assert retract.preorder is None
+
+
+def _entry(cat, g, f, value):
+    table = [list(row) for row in cat.table]
+    table[g][f] = value
+    return dataclasses.replace(cat, table=tuple(map(tuple, table)))
+
+
+def test_preorder_is_none_on_a_wrong_or_missing_composite():
+    cat = _lattice(2)  # 0 → 1 → 2
+    f = cat.hom(0, 1)[0]
+    g = cat.hom(1, 2)[0]
+    assert cat.preorder is not None
+    assert _entry(cat, g, f, cat.identities[0]).preorder is None
+    assert _entry(cat, g, f, -1).preorder is None
+    assert _entry(cat, f, g, cat.hom(0, 2)[0]).preorder is None  # not composable
+    # x → y → z with no arrow x → z: hom-sets are small but ≤ is not transitive
+    gap = FinCat(
+        ("x", "y", "z"),
+        (Morphism("id_x", 0, 0), Morphism("id_y", 1, 1), Morphism("id_z", 2, 2),
+         Morphism("f", 0, 1), Morphism("g", 1, 2)),
+        (0, 1, 2),
+        (
+            (0, -1, -1, -1, -1),
+            (-1, 1, -1, 3, -1),
+            (-1, -1, 2, -1, 4),
+            (3, -1, -1, -1, -1),
+            (-1, 4, -1, -1, -1),
+        ),
+    )
+    assert gap.preorder is None
+
+
+@pytest.mark.parametrize(
+    "break_it",
+    [
+        lambda c: dataclasses.replace(c, table=c.table[:-1]),
+        lambda c: dataclasses.replace(c, table=(c.table[0][:-1],) + c.table[1:]),
+        lambda c: dataclasses.replace(c, table=(c.table[0] + (-1,),) + c.table[1:]),
+        lambda c: _entry(c, 0, 0, 99),
+        lambda c: _entry(c, 0, 0, "id"),
+        lambda c: dataclasses.replace(c, table=(5,) + c.table[1:]),
+        lambda c: dataclasses.replace(c, identities=c.identities[:-1]),
+        lambda c: dataclasses.replace(c, identities=(99,) + c.identities[1:]),
+        lambda c: dataclasses.replace(c, identities=(-1,) + c.identities[1:]),
+        lambda c: dataclasses.replace(c, morphisms=(Morphism("m", 7, 0),) + c.morphisms[1:]),
+        lambda c: dataclasses.replace(c, morphisms=(Morphism("m", -1, -1),) + c.morphisms[1:]),
+        lambda c: dataclasses.replace(c, morphisms=(Morphism("m", "a", 0),) + c.morphisms[1:]),
+        lambda c: dataclasses.replace(c, morphisms=(None,) + c.morphisms[1:]),
+        lambda c: FinCat(("x",), (), (-1,), ()),
+    ],
+    ids=["rows", "row-short", "row-long", "dangling-entry", "entry-type", "row-type",
+         "identities-short", "identity-dangling", "identity-negative",
+         "src-dangling", "src-negative", "src-type", "morphism-type", "no-identity"],
+)
+def test_preorder_is_none_on_malformed_tables(break_it):
+    cat = break_it(_lattice(2))
+    assert cat.preorder is None
+
+
+def test_census_thin_view_raises_on_a_non_preorder(retract):
+    with pytest.raises(TheoremViolationError, match="has 2 maps"):
+        census_mod._thin_view(retract)
+    cat = _lattice(2)
+    wrong = _entry(cat, cat.hom(1, 2)[0], cat.hom(0, 1)[0], cat.identities[0])
+    with pytest.raises(TheoremViolationError, match="not the composition of a preorder"):
+        census_mod._thin_view(wrong)
+    assert census_mod._thin_view(cat) is cat.preorder
