@@ -122,8 +122,11 @@ def parse_adjunction(text: str, base_dir: Path) -> Adjunction:
     for key in ("source", "target", "left", "right", "unit", "counit"):
         if key not in data:
             raise InputError(f"adjunction file misses {key!r}")
-    src = load_category(base_dir / data["source"])
-    tgt = load_category(base_dir / data["target"])
+    src_path, tgt_path = base_dir / data["source"], base_dir / data["target"]
+    src = load_category(src_path)
+    # one category file read once: both functors then share its FinCat
+    # and every table cached on it
+    tgt = src if src_path.resolve() == tgt_path.resolve() else load_category(tgt_path)
 
     def functor(spec: dict, a: FinCat, b: FinCat, tag: str) -> Functor:
         if not isinstance(spec, dict) or not {"objects", "morphisms"} <= spec.keys():

@@ -1,5 +1,17 @@
 """Hypothesis checkers and constructive engines for extending model structures.
 
+The hypotheses of Thm 1.2 and Thm 1.7 are module-level tables
+(``_THM12``, ``_THM17``) of private functions of the candidate, which
+:func:`modelcat.morphclass.run_checks` runs in order; it returns the
+verdicts and the pass flag, which :class:`HypothesisReport` stores.  The
+closure hypotheses read the verdicts cached on each class
+(``MorphClass.verdicts``), lifting and factorization read the
+per-category bitmask tables through :func:`has_lifting` and
+:func:`factors_all` with masks such as ``C_g.mask & W_g.mask``, and the
+point maps ∅→x (hypothesis 4) and fold maps (hypothesis 5) are computed
+once per category in ``cat.scratch``, so a check builds no class.  Thm
+1.5 runs the 1.2 table on the opposite base and classes.
+
 Every constructive path here (lifts, mapping cylinders, factorizations)
 re-checks its own output against the exhaustive-search primitives in
 :mod:`modelcat.morphclass`; a membership assertion that fails after the
@@ -9,7 +21,7 @@ raised as :class:`TheoremViolationError` rather than swallowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .fincat import (
@@ -17,6 +29,7 @@ from .fincat import (
     InputError,
     MissingLimitError,
     colimit,
+    fold_map,
     point_from_initial,
 )
 from .morphclass import (
@@ -27,6 +40,7 @@ from .morphclass import (
     TheoremViolationError,
     closure_check,
     combine,
+    factor_masks,
     factors_all,
     find_lift,
     first_factorization,
@@ -60,6 +74,10 @@ class ExtensionCandidate:
     def __post_init__(self):
         if not self.base.verified:
             raise HypothesisError("base model structure is not verified")
+        cat = self.base.cat
+        for cls in (self.W_g, self.C_g, self.F_g):
+            if cls.cat is not cat and cls.cat != cat:
+                raise InputError("classes live over different categories")
         if not (self.base.W.members <= self.W_g.members):
             raise HypothesisError("W ⊆ W_g fails")
         if not (self.C_g.members <= self.base.C.members):
@@ -76,18 +94,134 @@ class ExtensionCandidate:
 
 @dataclass(frozen=True)
 class HypothesisReport:
+    """Verdicts by hypothesis number.  ``passed`` is stored: :func:`run_checks`
+    computes it in the walk that fills ``verdicts``, and a report built from
+    verdicts alone computes it once here."""
+
     theorem: str  # "1.2" | "1.4" | "1.5" | "1.7"
     verdicts: dict[str, CheckResult]
+    passed: bool = field(default=None, repr=False, compare=False)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.verdicts.values())
+    def __post_init__(self):
+        if self.passed is None:
+            object.__setattr__(
+                self, "passed", all(c.passed for c in self.verdicts.values())
+            )
 
     def first_failure(self) -> tuple[str, CheckResult] | None:
         for k, c in self.verdicts.items():
             if not c.passed:
                 return k, c
         return None
+
+
+# -- the hypothesis tables ------------------------------------------------
+#
+# A conjunction of closure checks that passes reports its parts'
+# descriptions joined by "; ", as :func:`combine` does.
+
+_RETRACTS_OK = CheckResult.ok("retracts; retracts; retracts")
+_PUSHOUTS_OK = CheckResult.ok("composition; pushouts")
+_PULLBACKS_OK = CheckResult.ok("composition; pullbacks")
+
+
+def _two_of_three(cand: ExtensionCandidate) -> CheckResult:
+    return closure_check(cand.W_g, "two_of_three")
+
+
+def _retracts(cand: ExtensionCandidate) -> CheckResult:
+    for cls in (cand.W_g, cand.C_g, cand.F_g):
+        verdict = closure_check(cls, "retracts")
+        if not verdict.passed:
+            return verdict
+    return _RETRACTS_OK
+
+
+def _composition_and(cls: MorphClass, property: str, ok: CheckResult) -> CheckResult:
+    verdict = closure_check(cls, "composition")
+    if verdict.passed:
+        verdict = closure_check(cls, property)
+    return ok if verdict.passed else verdict
+
+
+def _cofibrant_coincidence(cand: ExtensionCandidate) -> CheckResult:
+    cat, cof, C_g = cand.base.cat, cand.base.cofibrant, cand.C_g.mask
+    points = cat.scratch.get("initial_points")  # the map ∅→x per object x
+    if points is None:
+        points = tuple(point_from_initial(cat, x) for x in range(len(cat.objects)))
+        cat.scratch["initial_points"] = points
+    for x, point in enumerate(points):
+        if (C_g >> point & 1) != (x in cof):
+            return CheckResult.fail(
+                "C_g point maps do not match the cofibrant objects", object=x
+            )
+    return CheckResult.ok("cofibrant coincidence")
+
+
+def _cylinders(cand: ExtensionCandidate) -> CheckResult:
+    """Every cofibrant object's fold map factors as a C_g-map followed by
+    a W_g-map, which is what :func:`find_cylinder` searches for."""
+    cat, C_g, W_g = cand.base.cat, cand.C_g.mask, cand.W_g.mask
+    folds = cat.scratch.setdefault("fold_maps", {})
+    for x in sorted(cand.base.cofibrant):
+        if x not in folds:
+            folds[x] = fold_map(cat, x)[1]
+        for j, p in factor_masks(cat, folds[x]):
+            if C_g & j and W_g & p:
+                break
+        else:
+            return CheckResult.fail("cofibrant object has no cylinder", object=x)
+    return CheckResult.ok("cylinders")
+
+
+def _w_pushout_stable(cand: ExtensionCandidate) -> CheckResult:
+    base = cand.base
+    cat, W, cof, C_g = base.cat, base.W.members, base.cofibrant, cand.C_g.members
+    for f, g, fp in pushout_transfers(cat):
+        if (
+            f in W
+            and g in C_g
+            and cat.src(g) in cof
+            and cat.tgt(g) in cof
+            and fp not in W
+        ):
+            return CheckResult.fail(
+                "W not closed under pushout along a C_g map between "
+                "cofibrant objects",
+                f=f, along=g, transfer=fp,
+            )
+    return CheckResult.ok("W pushout-stability")
+
+
+_THM12 = (
+    ("1", _two_of_three),
+    ("2", _retracts),
+    ("3", lambda cand: _composition_and(cand.C_g, "pushouts", _PUSHOUTS_OK)),
+    ("4", _cofibrant_coincidence),
+    ("5", _cylinders),
+    ("6", _w_pushout_stable),
+    ("7", lambda cand: has_lifting(
+        cand.base.cat, cand.C_g.mask & cand.W_g.mask, cand.F_g.mask
+    )),
+    ("8", lambda cand: factors_all(
+        cand.base.cat, cand.C_g.mask & cand.W_g.mask, cand.F_g.mask,
+        "no (C_g∩W_g, F_g) factorization",
+    )),
+)
+
+_THM17 = (
+    ("1", _two_of_three),
+    ("2", _retracts),
+    ("3", lambda cand: _composition_and(cand.F_g, "pullbacks", _PULLBACKS_OK)),
+    ("4", lambda cand: has_lifting(
+        cand.base.cat, cand.C_g.mask, cand.F_g.mask & cand.W_g.mask
+    )),
+    ("5", lambda cand: factors_all(
+        cand.base.cat, cand.C_g.mask, cand.F_g.mask & cand.W_g.mask,
+        "no (C_g, F_g∩W_g) factorization",
+    )),
+    ("6", lambda cand: check_properness(cand.base, "right")),
+)
 
 
 def check_thm12(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
@@ -97,61 +231,8 @@ def check_thm12(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
     (``base.cofibrant``) and the closure verdicts of hypotheses 1-3 from
     each class (``MorphClass.verdicts``), so a scan whose candidates share
     base and class objects computes each of them once."""
-    base, cat = cand.base, cand.base.cat
-    W_g, C_g, F_g = cand.W_g, cand.C_g, cand.F_g
-    cof = base.cofibrant
-
-    def hyp4() -> CheckResult:
-        for x in range(len(cat.objects)):
-            in_cg = point_from_initial(cat, x) in C_g.members
-            if in_cg != (x in cof):
-                return CheckResult.fail(
-                    "C_g point maps do not match the cofibrant objects", object=x
-                )
-        return CheckResult.ok("cofibrant coincidence")
-
-    def hyp5() -> CheckResult:
-        for x in sorted(cof):
-            if find_cylinder(cat, C_g, W_g, x, "cylinder") is None:
-                return CheckResult.fail("cofibrant object has no cylinder", object=x)
-        return CheckResult.ok("cylinders")
-
-    def hyp6() -> CheckResult:
-        for f, g, fp in pushout_transfers(cat):
-            if (
-                f in base.W.members
-                and g in C_g.members
-                and cat.src(g) in cof
-                and cat.tgt(g) in cof
-                and fp not in base.W.members
-            ):
-                return CheckResult.fail(
-                    "W not closed under pushout along a C_g map between "
-                    "cofibrant objects",
-                    f=f, along=g, transfer=fp,
-                )
-        return CheckResult.ok("W pushout-stability")
-
-    checks = (
-        ("1", lambda: closure_check(W_g, "two_of_three")),
-        ("2", lambda: combine(
-            closure_check(W_g, "retracts"),
-            closure_check(C_g, "retracts"),
-            closure_check(F_g, "retracts"),
-        )),
-        ("3", lambda: combine(
-            closure_check(C_g, "composition"),
-            closure_check(C_g, "pushouts"),
-        )),
-        ("4", hyp4),
-        ("5", hyp5),
-        ("6", hyp6),
-        ("7", lambda: has_lifting(MorphClass(cat, C_g.members & W_g.members), F_g)),
-        ("8", lambda: factors_all(
-            cat, C_g.mask & W_g.mask, F_g.mask, "no (C_g∩W_g, F_g) factorization"
-        )),
-    )
-    return HypothesisReport("1.2", run_checks(checks, stop_at_first))
+    cand.base.cofibrant  # raises MissingLimitError without an initial object
+    return HypothesisReport("1.2", *run_checks(_THM12, stop_at_first, cand))
 
 
 def check_thm15(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
@@ -171,35 +252,14 @@ def check_thm15(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
         base_op, cand.W_g.opposite, cand.F_g.opposite, cand.C_g.opposite
     )
     report = check_thm12(cand_op, stop_at_first=stop_at_first)
-    return HypothesisReport("1.5", report.verdicts)
+    return HypothesisReport("1.5", report.verdicts, report.passed)
 
 
 def check_thm17(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
     """Hypotheses for the more-fibrations variant (candidate kind 'lm')."""
     if cand.kind != "lm":
         raise HypothesisError("theorem 1.7 candidates must have kind 'lm'")
-    base, cat = cand.base, cand.base.cat
-    W_g, C_g, F_g = cand.W_g, cand.C_g, cand.F_g
-    trivfib_g = MorphClass(cat, F_g.members & W_g.members)
-
-    checks = (
-        ("1", lambda: closure_check(W_g, "two_of_three")),
-        ("2", lambda: combine(
-            closure_check(W_g, "retracts"),
-            closure_check(C_g, "retracts"),
-            closure_check(F_g, "retracts"),
-        )),
-        ("3", lambda: combine(
-            closure_check(F_g, "composition"),
-            closure_check(F_g, "pullbacks"),
-        )),
-        ("4", lambda: has_lifting(C_g, trivfib_g)),
-        ("5", lambda: factors_all(
-            cat, C_g.mask, trivfib_g.mask, "no (C_g, F_g∩W_g) factorization"
-        )),
-        ("6", lambda: check_properness(base, "right")),
-    )
-    return HypothesisReport("1.7", run_checks(checks, stop_at_first))
+    return HypothesisReport("1.7", *run_checks(_THM17, stop_at_first, cand))
 
 
 def build_extension(cand: ExtensionCandidate) -> ModelStructure:
@@ -230,13 +290,12 @@ def build_extension(cand: ExtensionCandidate) -> ModelStructure:
 def lemma11_assumptions(
     cat: FinCat, W: MorphClass, C: MorphClass, F: MorphClass
 ) -> dict[str, CheckResult]:
-    trivcof = MorphClass(cat, C.members & W.members)
     return {
         "1": closure_check(W, "two_of_three"),
         "2": combine(
             closure_check(C, "composition"), closure_check(C, "pushouts")
         ),
-        "3": has_lifting(trivcof, F),
+        "3": has_lifting(cat, C.mask & W.mask, F.mask),
         "4": factors_all(cat, C.mask, F.mask & W.mask, "no factorization"),
     }
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fincat import (
@@ -28,25 +28,41 @@ from .morphclass import (
     run_checks,
 )
 
-AXIOM_NAMES = (
-    "two_of_three_W",
-    "retracts_W",
-    "retracts_C",
-    "retracts_F",
-    "lift_trivcof_fib",
-    "lift_cof_trivfib",
-    "factor_trivcof_fib",
-    "factor_cof_trivfib",
+_NO_FACTORIZATION = "morphism admits no factorization"
+
+# The axioms in report order, each a function of (cat, W, C, F); the
+# trivial (co)fibrations are read as bitmasks, so no class is built.
+_AXIOMS = (
+    ("two_of_three_W", lambda cat, W, C, F: closure_check(W, "two_of_three")),
+    ("retracts_W", lambda cat, W, C, F: closure_check(W, "retracts")),
+    ("retracts_C", lambda cat, W, C, F: closure_check(C, "retracts")),
+    ("retracts_F", lambda cat, W, C, F: closure_check(F, "retracts")),
+    ("lift_trivcof_fib", lambda cat, W, C, F: has_lifting(cat, W.mask & C.mask, F.mask)),
+    ("lift_cof_trivfib", lambda cat, W, C, F: has_lifting(cat, C.mask, W.mask & F.mask)),
+    ("factor_trivcof_fib", lambda cat, W, C, F: factors_all(
+        cat, W.mask & C.mask, F.mask, _NO_FACTORIZATION
+    )),
+    ("factor_cof_trivfib", lambda cat, W, C, F: factors_all(
+        cat, C.mask, W.mask & F.mask, _NO_FACTORIZATION
+    )),
 )
+AXIOM_NAMES = tuple(name for name, _ in _AXIOMS)
 
 
 @dataclass(frozen=True)
 class AxiomReport:
-    checks: dict[str, CheckResult]
+    """Verdicts by axiom name.  ``passed`` is stored: :func:`run_checks`
+    computes it in the walk that fills ``checks``, and a report built from
+    verdicts alone computes it once here."""
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
+    checks: dict[str, CheckResult]
+    passed: bool = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.passed is None:
+            object.__setattr__(
+                self, "passed", all(c.passed for c in self.checks.values())
+            )
 
     def first_failure(self) -> tuple[str, CheckResult] | None:
         for name, c in self.checks.items():
@@ -68,20 +84,9 @@ def verify_model_structure(
     With ``stop_at_first`` the report only contains checks up to the first
     failure (used by the exhaustive scans).
     """
-    trivcof = MorphClass(cat, W.members & C.members)
-    trivfib = MorphClass(cat, W.members & F.members)
-    no_factorization = "morphism admits no factorization"
-    checks = (
-        ("two_of_three_W", lambda: closure_check(W, "two_of_three")),
-        ("retracts_W", lambda: closure_check(W, "retracts")),
-        ("retracts_C", lambda: closure_check(C, "retracts")),
-        ("retracts_F", lambda: closure_check(F, "retracts")),
-        ("lift_trivcof_fib", lambda: has_lifting(trivcof, F)),
-        ("lift_cof_trivfib", lambda: has_lifting(C, trivfib)),
-        ("factor_trivcof_fib", lambda: factors_all(cat, trivcof.mask, F.mask, no_factorization)),
-        ("factor_cof_trivfib", lambda: factors_all(cat, C.mask, trivfib.mask, no_factorization)),
-    )
-    return AxiomReport(run_checks(checks, stop_at_first))
+    if any(cls.cat is not cat and cls.cat != cat for cls in (W, C, F)):
+        raise InputError("classes live over different categories")
+    return AxiomReport(*run_checks(_AXIOMS, stop_at_first, cat, W, C, F))
 
 
 @dataclass(frozen=True)

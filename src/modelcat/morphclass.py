@@ -13,7 +13,9 @@ describes, so a cache lives exactly as long as what its caller keeps:
   per f as :func:`factor_pairs` is); :func:`has_lifting`,
   :func:`lifting_closure` and :func:`factors_all` decide on these views
   (a failed :func:`has_lifting` reads its witness square from
-  :func:`unliftable_pairs`);
+  :func:`unliftable_pairs`).  :func:`has_lifting` and :func:`factors_all`
+  take both classes as ``int`` bitmasks, so a caller passes
+  ``C.mask & W.mask`` for C∩W and builds no class;
 - closure verdicts on the class: :func:`closure_check` fills
   ``MorphClass.verdicts``, one :class:`CheckResult` per property;
 - the members as an ``int`` bitmask on the class (``MorphClass.mask``,
@@ -43,8 +45,11 @@ also use as the oracle of the closed form.
 The searches shared by the axiom and hypothesis lists live here once:
 :func:`factorizations` (the only class-membership filter of the
 factorization pairs), :func:`factors_all` ("every map factors through
-(left, right)") and :func:`run_checks` (named checks in order, optionally
-stopping at the first failure).
+(left, right)") and :func:`run_checks`, the one runner of the axiom table
+(:func:`modelcat.modelstruct.verify_model_structure`) and the Thm 1.2 /
+1.7 hypothesis tables (:func:`modelcat.extend.check_thm12` /
+``check_thm17``): named checks in order, optionally stopping at the first
+failure, with the pass flag computed in the same walk.
 """
 
 from __future__ import annotations
@@ -173,17 +178,23 @@ def combine(*checks: CheckResult) -> CheckResult:
 
 
 def run_checks(
-    checks: Iterable[tuple[str, Callable[[], CheckResult]]], stop_at_first: bool
-) -> dict[str, CheckResult]:
-    """Run named checks in order; with ``stop_at_first`` the result ends
-    at the first failure (used by the exhaustive scans)."""
+    checks: Iterable[tuple[str, Callable[..., CheckResult]]],
+    stop_at_first: bool,
+    *args,
+) -> tuple[dict[str, CheckResult], bool]:
+    """Run named checks of ``args`` in order, and return their verdicts and
+    whether all of them passed.  With ``stop_at_first`` the verdicts end
+    at the first failure (used by the exhaustive scans).  This is the one
+    runner of the axiom and hypothesis tables."""
     out: dict[str, CheckResult] = {}
-    for name, run in checks:
-        result = run()
-        out[name] = result
-        if stop_at_first and not result.passed:
-            break
-    return out
+    passed = True
+    for name, check in checks:
+        result = out[name] = check(*args)
+        if not result.passed:
+            passed = False
+            if stop_at_first:
+                break
+    return out, passed
 
 
 @dataclass(frozen=True)
@@ -464,19 +475,18 @@ def find_lift(problem: SquareLiftProblem) -> int | None:
     return None
 
 
-def has_lifting(left: MorphClass, right: MorphClass) -> CheckResult:
-    """Pass iff every commuting square (i ∈ left, p ∈ right) has a lift.
+def has_lifting(cat: FinCat, left: int, right: int) -> CheckResult:
+    """Pass iff every commuting square (i ∈ left, p ∈ right) has a lift,
+    the two classes given as bitmasks over morphism ids.
 
     The witness is the least i, then the least p, with an unliftable
     square, and that pair's least (top, bottom)."""
-    left._same_cat(right)
-    blocks = lifting_blocks(left.cat)
-    right_mask = right.mask
-    for i in sorted(left.members):
-        hit = blocks[i] & right_mask
+    blocks = lifting_blocks(cat)
+    for i in _bits(left):
+        hit = blocks[i] & right
         if hit:
             p = (hit & -hit).bit_length() - 1
-            top, bottom = unliftable_pairs(left.cat)[(i, p)]
+            top, bottom = unliftable_pairs(cat)[(i, p)]
             return CheckResult.fail(
                 "square with no lift", i=i, p=p, top=top, bottom=bottom
             )

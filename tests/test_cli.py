@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelcat import load_fixture, parse_category, serialize_category
-from modelcat.catio import fixture_path, load_classes, serialize_classes
+from modelcat.catio import fixture_path, load_adjunction, load_classes, serialize_classes
 import modelcat
 from modelcat.cli import build_parser, run
 from modelcat.morphclass import MorphClass
@@ -567,3 +567,45 @@ def test_classes_round_trip(tmp_path):
     assert {k: v.members for k, v in again.items()} == {
         k: v.members for k, v in classes.items()
     }
+
+
+def test_identity_adjunction_reads_its_category_once(capsys, tmp_path):
+    """An adjunction whose source and target resolve to one file reads it
+    once, so both functors share one FinCat and its cached tables; every
+    ``mcx quillen`` check prints what it prints, byte for byte, when the
+    target is a separate copy of the file."""
+    shared = load_adjunction(FIX["diamond_identity.adj"])
+    assert shared.S.source is shared.S.target is shared.T.source is shared.T.target
+    spec = json.loads(Path(FIX["diamond_identity.adj"]).read_text())
+    text = Path(FIX["diamond.cat"]).read_text()
+    (tmp_path / "diamond.cat").write_text(text)
+    (tmp_path / "copy.cat").write_text(text)
+    same, copy = tmp_path / "same.adj", tmp_path / "copy.adj"
+    same.write_text(json.dumps({**spec, "source": "diamond.cat", "target": "./diamond.cat"}))
+    copy.write_text(json.dumps({**spec, "source": "diamond.cat", "target": "copy.cat"}))
+    adj = load_adjunction(same)
+    assert adj.S.source is adj.S.target
+    adj = load_adjunction(copy)
+    assert adj.S.source is not adj.S.target and adj.S.source == adj.S.target
+
+    cat = load_fixture("diamond.cat")
+    minimal = FIX["diamond_minimal.classes"]
+    triv_f = _write_classes(tmp_path / "trivf.classes", cat, W="all", C="all", F="ids")
+    outputs = {}
+    for path in (same, copy):
+        runs = []
+        for m, n in ((minimal, minimal), (triv_f, minimal), (minimal, triv_f)):
+            pair = ["--classes-m", m, "--classes-n", n]
+            for argv in (
+                ["quillen", "pair", str(path)] + pair,
+                ["quillen", "equivalence", str(path)] + pair,
+                ["quillen", "derived-ff", str(path)] + pair
+                + ["--ext-m", triv_f, "--ext-n", triv_f, "--side", "left"],
+            ):
+                for fmt in ("text", "json"):
+                    code = run(argv + ["--format", fmt])
+                    captured = capsys.readouterr()
+                    runs.append((code, captured.out, captured.err))
+        outputs[path] = runs
+    assert outputs[same] == outputs[copy]
+    assert {0, 1} <= {code for code, _, _ in outputs[same]}

@@ -115,10 +115,12 @@ def test_find_lift_matches_brute_force(name, request):
 def test_has_lifting_witness(arrow):
     f = _mid(arrow, "f")
     only_f = MorphClass.of(arrow, [f])
-    r = has_lifting(only_f, only_f)
+    r = has_lifting(arrow, only_f.mask, only_f.mask)
     assert not r.passed
     assert r.witness == {"i": f, "p": f, "top": arrow.identities[0], "bottom": arrow.identities[1]}
-    assert has_lifting(MorphClass.identities(arrow), MorphClass.all_maps(arrow)).passed
+    assert has_lifting(
+        arrow, MorphClass.identities(arrow).mask, MorphClass.all_maps(arrow).mask
+    ).passed
 
 
 def test_lifting_closure_small(arrow):
@@ -342,7 +344,8 @@ def test_witness_is_read_only(chain2):
         r.witness["f"] = g
     with pytest.raises(TypeError):
         del r.witness["f"]
-    lift = has_lifting(MorphClass.all_maps(chain2), MorphClass.all_maps(chain2))
+    everything = MorphClass.all_maps(chain2).mask
+    lift = has_lifting(chain2, everything, everything)
     assert not lift.passed
     with pytest.raises(TypeError):
         lift.witness["i"] = f
@@ -460,7 +463,7 @@ def test_mask_checks_match_loops(request, name, sample):
         pairs = random.Random(6).sample(pairs, sample)
     failures = 0
     for left, right in pairs:
-        lift = has_lifting(left, right)
+        lift = has_lifting(cat, left.mask, right.mask)
         assert lift == _has_lifting_loop(left, right)
         factor = factors_all(cat, left.mask, right.mask, "no factorization")
         assert factor == _factors_all_loop(cat, left.members, right.members, "no factorization")

@@ -1,6 +1,7 @@
-"""The acceptance suite under ``python -O``, where ``assert`` statements
-are compiled away: every consistency check the package relies on must
-raise by other means, so the suite still runs clean."""
+"""Test files under ``python -O``, where ``assert`` statements are
+compiled away: every consistency check the package relies on must raise
+by other means, and no verdict of the axiom and hypothesis tables may
+depend on an ``assert``, so these files still run clean."""
 
 import os
 import subprocess
@@ -12,14 +13,22 @@ import modelcat
 TESTS = Path(__file__).resolve().parent
 
 
-def test_acceptance_suite_under_optimize():
+def _run_optimized(test_file: str) -> None:
     src = str(Path(modelcat.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(TESTS)])}
     out = subprocess.run(
         [
             sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-            str(TESTS / "test_acceptance.py"),
+            str(TESTS / test_file),
         ],
         cwd=TESTS.parent, env=env, capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_acceptance_suite_under_optimize():
+    _run_optimized("test_acceptance.py")
+
+
+def test_hypothesis_tables_under_optimize():
+    _run_optimized("test_hypothesis_tables.py")

@@ -193,7 +193,9 @@ def test_thin_categories_never_search(monkeypatch):
                  "_search_pushout_transfers", "_search_factor_pairs"):
         monkeypatch.setattr(morphclass, name, searched)
     monkeypatch.setattr(fincat, "_search_bicomplete", searched)
+    monkeypatch.setattr(fincat, "_search_validate", searched)
     cat = _lattice(2, 2)
+    assert fincat.validate_category(cat).ok
     assert is_finitely_bicomplete(cat).ok
     unliftable_pairs(cat)
     retract_pairs(cat)
@@ -266,28 +268,31 @@ def test_preorder_is_none_on_a_wrong_or_missing_composite():
     assert gap.preorder is None
 
 
-@pytest.mark.parametrize(
-    "break_it",
-    [
-        lambda c: dataclasses.replace(c, table=c.table[:-1]),
-        lambda c: dataclasses.replace(c, table=(c.table[0][:-1],) + c.table[1:]),
-        lambda c: dataclasses.replace(c, table=(c.table[0] + (-1,),) + c.table[1:]),
-        lambda c: _entry(c, 0, 0, 99),
-        lambda c: _entry(c, 0, 0, "id"),
-        lambda c: dataclasses.replace(c, table=(5,) + c.table[1:]),
-        lambda c: dataclasses.replace(c, identities=c.identities[:-1]),
-        lambda c: dataclasses.replace(c, identities=(99,) + c.identities[1:]),
-        lambda c: dataclasses.replace(c, identities=(-1,) + c.identities[1:]),
-        lambda c: dataclasses.replace(c, morphisms=(Morphism("m", 7, 0),) + c.morphisms[1:]),
-        lambda c: dataclasses.replace(c, morphisms=(Morphism("m", -1, -1),) + c.morphisms[1:]),
-        lambda c: dataclasses.replace(c, morphisms=(Morphism("m", "a", 0),) + c.morphisms[1:]),
-        lambda c: dataclasses.replace(c, morphisms=(None,) + c.morphisms[1:]),
-        lambda c: FinCat(("x",), (), (-1,), ()),
-    ],
-    ids=["rows", "row-short", "row-long", "dangling-entry", "entry-type", "row-type",
-         "identities-short", "identity-dangling", "identity-negative",
-         "src-dangling", "src-negative", "src-type", "morphism-type", "no-identity"],
-)
+MALFORMED = {
+    "rows": lambda c: dataclasses.replace(c, table=c.table[:-1]),
+    "row-short": lambda c: dataclasses.replace(c, table=(c.table[0][:-1],) + c.table[1:]),
+    "row-long": lambda c: dataclasses.replace(c, table=(c.table[0] + (-1,),) + c.table[1:]),
+    "dangling-entry": lambda c: _entry(c, 0, 0, 99),
+    "entry-type": lambda c: _entry(c, 0, 0, "id"),
+    "row-type": lambda c: dataclasses.replace(c, table=(5,) + c.table[1:]),
+    "identities-short": lambda c: dataclasses.replace(c, identities=c.identities[:-1]),
+    "identity-dangling": lambda c: dataclasses.replace(c, identities=(99,) + c.identities[1:]),
+    "identity-negative": lambda c: dataclasses.replace(c, identities=(-1,) + c.identities[1:]),
+    "src-dangling": lambda c: dataclasses.replace(
+        c, morphisms=(Morphism("m", 7, 0),) + c.morphisms[1:]
+    ),
+    "src-negative": lambda c: dataclasses.replace(
+        c, morphisms=(Morphism("m", -1, -1),) + c.morphisms[1:]
+    ),
+    "src-type": lambda c: dataclasses.replace(
+        c, morphisms=(Morphism("m", "a", 0),) + c.morphisms[1:]
+    ),
+    "morphism-type": lambda c: dataclasses.replace(c, morphisms=(None,) + c.morphisms[1:]),
+    "no-identity": lambda c: FinCat(("x",), (), (-1,), ()),
+}
+
+
+@pytest.mark.parametrize("break_it", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_preorder_is_none_on_malformed_tables(break_it):
     cat = break_it(_lattice(2))
     assert cat.preorder is None
@@ -301,3 +306,57 @@ def test_census_thin_view_raises_on_a_non_preorder(retract):
     with pytest.raises(TheoremViolationError, match="not the composition of a preorder"):
         census_mod._thin_view(wrong)
     assert census_mod._thin_view(cat) is cat.preorder
+
+
+# -- validation on the preorder view ---------------------------------------
+
+
+def _validation(check, cat):
+    """The report of ``check``, or the error it raised."""
+    try:
+        return check(cat)
+    except Exception as error:  # malformed tables may fail to index
+        return type(error), str(error)
+
+
+def _renamed(cat, objects=None, names=None):
+    """``cat`` with new object or morphism names and the same table."""
+    morphisms = cat.morphisms
+    if names is not None:
+        morphisms = tuple(Morphism(n, m.src, m.tgt) for n, m in zip(names, morphisms))
+    return dataclasses.replace(cat, objects=objects or cat.objects, morphisms=morphisms)
+
+
+def _validation_inputs():
+    for name in FIXTURES:
+        cat = load_fixture(f"{name}.cat")
+        yield name, cat
+        yield f"op {name}", opposite(cat)
+    for name, build in BUILT.items():
+        yield name, build()
+    for name, break_it in MALFORMED.items():
+        yield name, break_it(_lattice(2))
+    chain = _lattice(2)
+    first, second = chain.objects[:2]
+    yield "same objects", _renamed(chain, objects=(first, first) + chain.objects[2:])
+    yield "same maps", _renamed(chain, names=["m"] * len(chain.morphisms))
+    yield "same both", _renamed(
+        chain, objects=(second,) * len(chain.objects), names=["m"] * len(chain.morphisms)
+    )
+    f, g = chain.hom(0, 1)[0], chain.hom(1, 2)[0]
+    yield "wrong composite", _entry(chain, g, f, chain.identities[0])
+    yield "missing composite", _entry(chain, g, f, -1)
+
+
+def test_validation_matches_search():
+    """On a preorder only the names are checked; the report equals the full
+    check on the fixtures, their opposites, the built categories, the
+    malformed tables and thin categories with repeated names."""
+    thin = bad_names = 0
+    for name, cat in _validation_inputs():
+        got = _validation(fincat.validate_category, cat)
+        assert got == _validation(fincat._search_validate, cat), name
+        thin += cat.preorder is not None
+        bad_names += cat.preorder is not None and not got.ok
+    assert thin == 2 * len(FIXTURES) - 2 + len(BUILT) + 3
+    assert bad_names == 3
