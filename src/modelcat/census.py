@@ -13,9 +13,10 @@ Every finite category with binary products is thin (k ≥ 2 maps A → B
 would give kⁿ maps A → Bⁿ), so the census reads a bicomplete category as
 its preorder, :attr:`FinCat.preorder`, and raises
 :class:`TheoremViolationError` if it has none.  The pair loop then works on
-``int`` bitmasks only.  The preorder and the tables the loop starts from
-(:func:`lifting_blocks`, :func:`factor_masks`) are cached on the category;
-the per-wfs object masks live for one census.
+``int`` bitmasks only.  The closure and the factorization test read the
+per-category tables through :func:`llp`, :func:`rlp` and
+:func:`factors_all`, which cache them on the category; the per-wfs object
+masks live for one census.
 
 ``candidates_checked`` counts candidate triples in naive mode and pairs of
 weak factorization systems tried in pruned mode.  The budget bounds the
@@ -30,8 +31,8 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .fincat import FinCat, InputError, Preorder, is_finitely_bicomplete
-from .morphclass import MorphClass, factors_all, lifting_blocks
+from .fincat import FinCat, InputError, Preorder, _bits, is_finitely_bicomplete
+from .morphclass import MorphClass, factors_all, llp, rlp
 from .modelstruct import ModelStructure, verify_model_structure
 from .extend import ExtensionKind, TheoremViolationError, classify_extension
 
@@ -63,10 +64,6 @@ class CensusResult:
 def _subsets(pool: list[int]):
     for r in range(len(pool) + 1):
         yield from (frozenset(c) for c in itertools.combinations(pool, r))
-
-
-def _members(mask: int) -> frozenset[int]:
-    return frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)
 
 
 def _thin_view(cat: FinCat) -> Preorder:
@@ -101,13 +98,9 @@ def weak_factorization_systems(
     pass ``budget``.
     """
     n = len(cat.morphisms)
-    everything = (1 << n) - 1
-    blocks = lifting_blocks(cat)
-
-    def llp(R: int) -> int:
-        return sum(1 << i for i in range(n) if not blocks[i] & R)
-
-    closed = {everything: llp(everything)}  # right class -> left class
+    right_of = [rlp(cat, 1 << f) for f in range(n)]  # rlp({f}) per map f
+    everything = rlp(cat, 0)
+    closed = {everything: llp(cat, everything)}  # right class -> left class
     todo = [everything]
     steps = 1
     while todo:
@@ -119,9 +112,9 @@ def weak_factorization_systems(
             steps += 1
             if steps > budget:
                 raise BudgetExceeded(f"census exceeds the budget of {budget} steps")
-            R2 = R & ~blocks[f]
+            R2 = R & right_of[f]
             if R2 not in closed:
-                closed[R2] = llp(R2)
+                closed[R2] = llp(cat, R2)
                 todo.append(R2)
 
     wfs = [(L, R) for R, L in closed.items() if factors_all(cat, L, R, "").passed]
@@ -162,7 +155,7 @@ def _pruned_triples(
                     W_in[c] |= a_bit
             if thin.two_of_three(W, W_out, W_in):
                 found.append((W, L2, R1))
-    return [tuple(map(_members, t)) for t in found], pairs
+    return [tuple(frozenset(_bits(m)) for m in t) for t in found], pairs
 
 
 def enumerate_model_structures(

@@ -38,34 +38,24 @@ from .catio import load_adjunction, load_category, load_classes
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-def _render_names(cat: FinCat, value):
-    """Translate indices in witnesses back to user-facing names."""
-    if isinstance(value, dict):
-        return {k: _render_names(cat, v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_render_names(cat, v) for v in value]
-    if isinstance(value, int):
-        if 0 <= value < len(cat.morphisms):
-            return cat.name(value)
-        return value
-    return value
+# witness keys that name objects; every other key names a morphism
+_OBJECT_KEYS = frozenset({"object", "a", "x"})
 
 
-def _render_object_names(cat: FinCat, value):
-    if isinstance(value, int) and 0 <= value < len(cat.objects):
-        return cat.objects[value]
-    return value
+def _witness_name(cat: FinCat, key: str, value: int):
+    """A witness index as the user-supplied name of an object or a
+    morphism of ``cat``; an index out of range stays as it is."""
+    if key in _OBJECT_KEYS:
+        return cat.objects[value] if 0 <= value < len(cat.objects) else value
+    return cat.name(value) if 0 <= value < len(cat.morphisms) else value
 
 
 def _check_payload(cat: FinCat, check: CheckResult) -> dict:
     payload = {"passed": check.passed, "description": check.description}
     if check.witness:
-        witness = {}
-        for k, v in check.witness.items():
-            witness[k] = (
-                _render_object_names(cat, v) if k == "object" else _render_names(cat, v)
-            )
-        payload["witness"] = witness
+        payload["witness"] = {
+            k: _witness_name(cat, k, v) for k, v in check.witness.items()
+        }
     return payload
 
 
@@ -109,6 +99,15 @@ def _require_wcf(classes: dict, path: str) -> tuple:
     return classes["W"], classes["C"], classes["F"]
 
 
+def _load_valid_category(path: str) -> FinCat:
+    """The category of a file, refused unless it satisfies the category
+    axioms, which the finite (co)limit searches assume."""
+    cat = load_category(path)
+    if not validate_category(cat).ok:
+        raise InputError("category does not validate; run `mcx validate` first")
+    return cat
+
+
 def _build_verified(cat, classes, path) -> ModelStructure:
     """The triple of a class file, verified; refuses a category that is not
     finitely bicomplete, where no verdict on the axioms means anything."""
@@ -133,9 +132,7 @@ def cmd_validate(args, fmt) -> int:
 
 
 def cmd_bicomplete(args, fmt) -> int:
-    cat = load_category(args.category)
-    if not validate_category(cat).ok:
-        raise InputError("category does not validate; run `mcx validate` first")
+    cat = _load_valid_category(args.category)
     report = is_finitely_bicomplete(cat)
     payload = {"missing": [list(map(str, m)) for m in report.missing]}
     return _finish("bicomplete", report.ok, payload, fmt)
@@ -151,7 +148,7 @@ def cmd_verify(args, fmt) -> int:
 
 
 def cmd_minimal(args, fmt) -> int:
-    cat = load_category(args.category)
+    cat = _load_valid_category(args.category)
     try:
         ms = minimal_model_structure(cat)
     except MissingLimitError as e:

@@ -5,12 +5,13 @@ The hypotheses of Thm 1.2 and Thm 1.7 are module-level tables
 :func:`modelcat.morphclass.run_checks` runs in order; it returns the
 verdicts and the pass flag, which :class:`HypothesisReport` stores.  The
 closure hypotheses read the verdicts cached on each class
-(``MorphClass.verdicts``), lifting and factorization read the
-per-category bitmask tables through :func:`has_lifting` and
-:func:`factors_all` with masks such as ``C_g.mask & W_g.mask``, and the
-point maps ∅→x (hypothesis 4) and fold maps (hypothesis 5) are computed
-once per category in ``cat.scratch``, so a check builds no class.  Thm
-1.5 runs the 1.2 table on the opposite base and classes.
+(``MorphClass.verdicts``); the others pass masks such as
+``C_g.mask & W_g.mask`` to the table readers of :mod:`modelcat.morphclass`
+(:func:`has_lifting`, :func:`factors_all`, :func:`first_factorization`,
+:func:`stable_under_transfers`), and the point maps ∅→x (hypothesis 4)
+and fold maps (hypothesis 5) are computed once per category in
+``cat.scratch``, so a check builds no class.  Thm 1.5 runs the 1.2 table
+on the opposite base and classes.
 
 Every constructive path here (lifts, mapping cylinders, factorizations)
 re-checks its own output against the exhaustive-search primitives in
@@ -40,7 +41,6 @@ from .morphclass import (
     TheoremViolationError,
     closure_check,
     combine,
-    factor_masks,
     factors_all,
     find_lift,
     first_factorization,
@@ -49,6 +49,7 @@ from .morphclass import (
     pushout_transfers,
     pullback_transfers,
     run_checks,
+    stable_under_transfers,
 )
 from .modelstruct import ModelStructure, find_cylinder
 
@@ -166,31 +167,23 @@ def _cylinders(cand: ExtensionCandidate) -> CheckResult:
     for x in sorted(cand.base.cofibrant):
         if x not in folds:
             folds[x] = fold_map(cat, x)[1]
-        for j, p in factor_masks(cat, folds[x]):
-            if C_g & j and W_g & p:
-                break
-        else:
+        if first_factorization(cat, folds[x], C_g, W_g) is None:
             return CheckResult.fail("cofibrant object has no cylinder", object=x)
     return CheckResult.ok("cylinders")
 
 
 def _w_pushout_stable(cand: ExtensionCandidate) -> CheckResult:
+    """W is stable under pushout along every C_g-map g between cofibrant
+    objects.  Only the source of g is tested: g ∈ C_g ⊆ C and ∅→src(g) ∈ C
+    give ∅→tgt(g) = g∘(∅→src(g)) ∈ C, as C is closed under composition."""
     base = cand.base
-    cat, W, cof, C_g = base.cat, base.W.members, base.cofibrant, cand.C_g.members
-    for f, g, fp in pushout_transfers(cat):
-        if (
-            f in W
-            and g in C_g
-            and cat.src(g) in cof
-            and cat.tgt(g) in cof
-            and fp not in W
-        ):
-            return CheckResult.fail(
-                "W not closed under pushout along a C_g map between "
-                "cofibrant objects",
-                f=f, along=g, transfer=fp,
-            )
-    return CheckResult.ok("W pushout-stability")
+    cat, cof = base.cat, base.cofibrant
+    from_cof = sum(1 << g for g, m in enumerate(cat.morphisms) if m.src in cof)
+    return stable_under_transfers(
+        pushout_transfers(cat), base.W.mask, cand.C_g.mask & from_cof,
+        "W not closed under pushout along a C_g map between cofibrant objects",
+        "W pushout-stability",
+    )
 
 
 _THM12 = (
@@ -319,14 +312,14 @@ def lemma11_lift(
         raise HypothesisError(f"lemma assumptions fail: {failed}")
     if square.i not in C.members:
         raise HypothesisError("left leg is not in C")
-    if square.p not in (F.members & W.members):
+    trivfib = F.mask & W.mask
+    if not trivfib >> square.p & 1:
         raise HypothesisError("right leg is not in F∩W")
 
-    trivfib = F.members & W.members
     i, q, top, bottom = square.i, square.p, square.top, square.bottom
 
     # top: A→X = q1∘j1 with j1 ∈ C, q1 ∈ F∩W
-    j1, q1 = first_factorization(cat, top, C.members, trivfib)
+    j1, q1 = first_factorization(cat, top, C.mask, trivfib)
     po = colimit(cat, ("pushout", j1, i))
     if not po.exists:
         raise MissingLimitError("pushout needed by the lemma is missing")
@@ -334,7 +327,7 @@ def lemma11_lift(
 
     # canonical map E→Y induced by (q∘q1, bottom)
     e_to_y = po.mediators[(cat.tgt(q), (cat.comp(q, q1), bottom))]
-    j2, q2 = first_factorization(cat, e_to_y, C.members, trivfib)
+    j2, q2 = first_factorization(cat, e_to_y, C.mask, trivfib)
     j = cat.comp(j2, leg_d)  # D→F, lands in C∩W
     if j not in C.members or j not in W.members:
         raise TheoremViolationError("constructed map failed C∩W membership")
@@ -419,7 +412,7 @@ def mapping_cylinder_factorization(cand: ExtensionCandidate, g: int) -> MappingC
         raise TheoremViolationError("i_g is not in C_g")
     if p_g not in cand.W_g.members:
         raise TheoremViolationError("p_g is not in W_g")
-    if j_g not in (cand.C_g.members & cand.W_g.members):
+    if j_g not in cand.C_g or j_g not in cand.W_g:
         raise TheoremViolationError("j_g is not in C_g∩W_g")
 
     return MappingCylinder(
@@ -458,12 +451,12 @@ def cofibrant_approximation_square(base: ModelStructure, f: int) -> CofApproxSqu
     """Replace the endpoints of f by cofibrant objects using base
     (C, F∩W) factorizations of the point maps, and lift to fill the square."""
     cat = base.cat
-    trivfib = base.F.members & base.W.members
+    trivfib = base.F.mask & base.W.mask
     x, y = cat.src(f), cat.tgt(f)
 
     def replace(obj: int) -> tuple[int, int]:
         pt = point_from_initial(cat, obj)
-        pair = first_factorization(cat, pt, base.C.members, trivfib)
+        pair = first_factorization(cat, pt, base.C.mask, trivfib)
         if pair is None:
             raise HypothesisError("base factorization axiom failed on a point map")
         return pair
@@ -496,9 +489,7 @@ def factor_c_then_trivfib(cand: ExtensionCandidate, f: int):
     leg_m, leg_x = po.legs  # M→D, X→D
     d_to_y = po.mediators[(y, (cat.comp(approx.v, mc.p_g), f))]
 
-    pair = first_factorization(
-        cat, d_to_y, cand.C_g.members & cand.W_g.members, cand.F_g.members
-    )
+    pair = first_factorization(cat, d_to_y, cand.C_g.mask & cand.W_g.mask, cand.F_g.mask)
     if pair is None:
         raise HypothesisError("hypothesis (8) factorization unavailable")
     j3, q = pair
@@ -507,7 +498,7 @@ def factor_c_then_trivfib(cand: ExtensionCandidate, f: int):
         raise TheoremViolationError("constructed factorization does not compose to f")
     if i not in cand.C_g.members:
         raise TheoremViolationError("left factor is not in C_g")
-    if q not in (cand.F_g.members & cand.W_g.members):
+    if q not in cand.F_g or q not in cand.W_g:
         raise TheoremViolationError("right factor is not in F_g∩W_g")
     return Factorization(cat, f, i, cat.tgt(i), q), approx, mc
 
@@ -519,16 +510,14 @@ def check_properness(ms: ModelStructure, side: str) -> CheckResult:
     """left: pushouts of weak equivalences along cofibrations stay weak
     equivalences; right dual."""
     if side == "left":
-        transfers, along = pushout_transfers, ms.C.members
+        transfers, along = pushout_transfers, ms.C.mask
     elif side == "right":
-        transfers, along = pullback_transfers, ms.F.members
+        transfers, along = pullback_transfers, ms.F.mask
     else:
         raise InputError("side must be 'left' or 'right'")
-    W = ms.W.members
-    for f, g, fp in transfers(ms.cat):
-        if f in W and g in along and fp not in W:
-            return CheckResult.fail(f"not {side} proper", f=f, along=g, transfer=fp)
-    return CheckResult.ok(f"{side} proper")
+    return stable_under_transfers(
+        transfers(ms.cat), ms.W.mask, along, f"not {side} proper", f"{side} proper"
+    )
 
 
 def prop14_build(

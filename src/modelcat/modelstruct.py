@@ -199,7 +199,7 @@ def find_cylinder(
         power, f = diagonal_map(cat, x)
     else:
         raise InputError("side must be 'cylinder' or 'path'")
-    pair = first_factorization(cat, f, left.members, right.members)
+    pair = first_factorization(cat, f, left.mask, right.mask)
     if pair is None:
         return None
     j, p = pair
@@ -242,7 +242,7 @@ def left_homotopic(ms: ModelStructure, f: int, g: int) -> bool:
     x, y = cat.src(f), cat.tgt(f)
     cp, fold = fold_map(cat, x)
     # every cylinder of x: a (C, W) factorization of the fold map
-    for j, p in factorizations(cat, fold, ms.C.members, ms.W.members):
+    for j, p in factorizations(cat, fold, ms.C.mask, ms.W.mask):
         i0 = cat.comp(j, cp.legs[0])
         i1 = cat.comp(j, cp.legs[1])
         for h in cat.hom(cat.tgt(j), y):
@@ -256,7 +256,7 @@ def right_homotopic(ms: ModelStructure, f: int, g: int) -> bool:
     cat = ms.cat
     x, y = cat.src(f), cat.tgt(f)
     pr, diag = diagonal_map(cat, y)
-    for s, q in factorizations(cat, diag, ms.W.members, ms.F.members):
+    for s, q in factorizations(cat, diag, ms.W.mask, ms.F.mask):
         p0 = cat.comp(pr.legs[0], q)
         p1 = cat.comp(pr.legs[1], q)
         for h in cat.hom(x, cat.tgt(s)):

@@ -2,33 +2,39 @@
 
 All procedures here are exhaustive searches over a finite category, so
 they double as the oracles for the constructive proofs in
-:mod:`modelcat.extend`.  Each result is cached on the immutable object it
-describes, so a cache lives exactly as long as what its caller keeps:
+:mod:`modelcat.extend`.  This module is the only reader of the
+per-category tables, and each reader takes its classes as ``int``
+bitmasks over morphism ids (``MorphClass.mask``, or ``C.mask & W.mask``
+for C∩W), so a caller builds no class:
 
-- per-category tables (commuting squares with no lift, retract pairs,
-  pushout and pullback transfers, factorization pairs) on ``cat.scratch``,
-  and two bitmask views of them there: :func:`lifting_blocks` (per map i,
-  the maps p with an (i, p) square that has no lift) and
-  :func:`factor_masks` (per map f, its factorization pairs as bits, filled
-  per f as :func:`factor_pairs` is); :func:`has_lifting`,
-  :func:`lifting_closure` and :func:`factors_all` decide on these views
-  (a failed :func:`has_lifting` reads its witness square from
-  :func:`unliftable_pairs`).  :func:`has_lifting` and :func:`factors_all`
-  take both classes as ``int`` bitmasks, so a caller passes
-  ``C.mask & W.mask`` for C∩W and builds no class;
-- closure verdicts on the class: :func:`closure_check` fills
-  ``MorphClass.verdicts``, one :class:`CheckResult` per property;
-- the members as an ``int`` bitmask on the class (``MorphClass.mask``,
-  bit ``f`` set iff ``f`` is a member), which
-  :func:`modelcat.extend.classify_extension` and the checks above read,
-  and the same members as a class of the opposite category
-  (``MorphClass.opposite``), which :func:`modelcat.extend.check_thm15`
-  reads;
-- cofibrant and fibrant objects and the verified opposite structure on
-  the structure (``ModelStructure.cofibrant`` / ``.fibrant`` /
-  ``.opposite`` in :mod:`modelcat.modelstruct`).
+- lifting: :func:`has_lifting`, :func:`llp` and :func:`rlp` (and through
+  them :func:`lifting_closure` and the census closure) read
+  :func:`lifting_blocks`, per map i the maps p with an (i, p) square that
+  has no lift; a failed :func:`has_lifting` reads its witness square from
+  :func:`unliftable_pairs`;
+- factorization: :func:`factors_all` reads :func:`factor_masks`, per map
+  its :func:`factor_pairs` as bits, and :func:`factorizations` /
+  :func:`first_factorization` filter :func:`factor_pairs`;
+- closure: :func:`closure_check` scans :func:`retract_pairs` and
+  ``FinCat.composable_pairs``, and :func:`stable_under_transfers` (the
+  first (f, g, f') of :func:`pushout_transfers` or
+  :func:`pullback_transfers` with f ∈ X, g ∈ along, f' ∉ X) serves
+  closure under pushouts and pullbacks, properness and Thm 1.2
+  hypothesis 6 in :mod:`modelcat.extend`.
 
-Cached verdicts are shared, so their witnesses are read-only mappings.
+:func:`run_checks` is the one runner of the axiom table
+(:func:`modelcat.modelstruct.verify_model_structure`) and the Thm 1.2 /
+1.7 hypothesis tables: named checks in order, optionally stopping at the
+first failure, with the pass flag computed in the same walk.
+
+Each result is cached on the immutable object it describes, so a cache
+lives exactly as long as what its caller keeps: the per-category tables
+on ``cat.scratch``; closure verdicts (``MorphClass.verdicts``, so their
+witnesses are read-only mappings), the members as a bitmask
+(``MorphClass.mask``) and as a class of the opposite category
+(``MorphClass.opposite``, read by :func:`modelcat.extend.check_thm15`) on
+the class; cofibrant and fibrant objects and the verified opposite
+structure on the structure (:mod:`modelcat.modelstruct`).
 
 Every finitely bicomplete finite category is thin, so the per-category
 tables have closed forms on :attr:`FinCat.preorder`, and
@@ -41,15 +47,6 @@ has any, and the closed form names that candidate: the answers, witnesses
 and orders are the same.  On any other category each table runs its
 generic search, kept as a private ``_search_*`` function that the tests
 also use as the oracle of the closed form.
-
-The searches shared by the axiom and hypothesis lists live here once:
-:func:`factorizations` (the only class-membership filter of the
-factorization pairs), :func:`factors_all` ("every map factors through
-(left, right)") and :func:`run_checks`, the one runner of the axiom table
-(:func:`modelcat.modelstruct.verify_model_structure`) and the Thm 1.2 /
-1.7 hypothesis tables (:func:`modelcat.extend.check_thm12` /
-``check_thm17``): named checks in order, optionally stopping at the first
-failure, with the pass flag computed in the same walk.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Container, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .fincat import FinCat, InputError, _bits, colimit, opposite
 
@@ -85,7 +82,8 @@ class MorphClass:
     )
 
     def __post_init__(self):
-        if any(not (0 <= f < len(self.cat.morphisms)) for f in self.members):
+        members = self.members
+        if members and (min(members) < 0 or max(members) >= len(self.cat.morphisms)):
             raise InputError("class members must be morphisms of the category")
 
     @cached_property
@@ -493,20 +491,41 @@ def has_lifting(cat: FinCat, left: int, right: int) -> CheckResult:
     return CheckResult.ok("lifting")
 
 
+def llp(cat: FinCat, right: int) -> int:
+    """The maps with the left lifting property against every map of
+    ``right``, both as bitmasks over morphism ids."""
+    return sum(1 << i for i, block in enumerate(lifting_blocks(cat)) if not block & right)
+
+
+def rlp(cat: FinCat, left: int) -> int:
+    """The maps with the right lifting property against every map of
+    ``left``, both as bitmasks over morphism ids."""
+    blocks = lifting_blocks(cat)
+    blocked = 0
+    for i in _bits(left):
+        blocked |= blocks[i]
+    return (1 << len(cat.morphisms)) - 1 & ~blocked
+
+
 def lifting_closure(cat: FinCat, cls: MorphClass, side: str) -> MorphClass:
     """side='rlp': maps with the right lifting property against cls; 'llp' dual."""
     if side not in ("llp", "rlp"):
         raise InputError("side must be 'llp' or 'rlp'")
-    blocks = lifting_blocks(cat)
-    n = len(cat.morphisms)
-    if side == "rlp":
-        blocked = 0
-        for i in cls.members:
-            blocked |= blocks[i]
-        members = [p for p in range(n) if not blocked >> p & 1]
-    else:
-        members = [i for i in range(n) if not blocks[i] & cls.mask]
-    return MorphClass.of(cat, members)
+    closure = rlp if side == "rlp" else llp
+    return MorphClass.of(cat, _bits(closure(cat, cls.mask)))
+
+
+def stable_under_transfers(
+    transfers: Iterable[tuple[int, int, int]], inside: int, along: int, failure: str, success: str
+) -> CheckResult:
+    """Pass iff every (f, g, f') of ``transfers`` (:func:`pushout_transfers`
+    or :func:`pullback_transfers`) with f in ``inside`` and g in ``along``
+    has f' in ``inside``, both classes as bitmasks.  The witness is the
+    first failing triple in table order, as (f, along, transfer)."""
+    for f, g, fp in transfers:
+        if inside >> f & 1 and not inside >> fp & 1 and along >> g & 1:
+            return CheckResult.fail(failure, f=f, along=g, transfer=fp)
+    return CheckResult.ok(success)
 
 
 def closure_check(cls: MorphClass, property: str) -> CheckResult:
@@ -523,10 +542,10 @@ def closure_check(cls: MorphClass, property: str) -> CheckResult:
 
 def _closure_verdict(cls: MorphClass, property: str) -> CheckResult:
     cat = cls.cat
-    mem = cls.members
+    m = cls.mask
     if property == "retracts":
         for f, g, (ia, ra, ib, rb) in retract_pairs(cat):
-            if g in mem and f not in mem:
+            if m >> g & 1 and not m >> f & 1:
                 return CheckResult.fail(
                     "not closed under retracts",
                     f=f, g=g, i_A=ia, r_A=ra, i_B=ib, r_B=rb,
@@ -534,43 +553,40 @@ def _closure_verdict(cls: MorphClass, property: str) -> CheckResult:
         return CheckResult.ok("retracts")
     if property == "composition":
         for f, g, gf in cat.composable_pairs:
-            if f in mem and g in mem and gf not in mem:
+            if m >> f & 1 and m >> g & 1 and not m >> gf & 1:
                 return CheckResult.fail(
                     "not closed under composition", f=f, g=g, composite=gf
                 )
         return CheckResult.ok("composition")
     if property == "two_of_three":
         for f, g, gf in cat.composable_pairs:
-            ins = (f in mem) + (g in mem) + (gf in mem)
-            if ins == 2:
+            if (m >> f & 1) + (m >> g & 1) + (m >> gf & 1) == 2:
                 return CheckResult.fail(
                     "two-of-three fails", f=f, g=g, composite=gf
                 )
         return CheckResult.ok("two_of_three")
     if property in ("pushouts", "pullbacks"):
         transfers = pushout_transfers if property == "pushouts" else pullback_transfers
-        for f, g, fp in transfers(cat):
-            if f in mem and fp not in mem:
-                return CheckResult.fail(
-                    f"not closed under {property}", f=f, along=g, transfer=fp
-                )
-        return CheckResult.ok(property)
+        return stable_under_transfers(
+            transfers(cat), m, (1 << len(cat.morphisms)) - 1,
+            f"not closed under {property}", property,
+        )
     raise InputError(f"unknown closure property {property!r}")
 
 
-def factorizations(
-    cat: FinCat, f: int, left: Container[int], right: Container[int]
-) -> Iterator[tuple[int, int]]:
-    """Every (j, p) with p∘j = f, j ∈ left and p ∈ right, in the scan order
-    of :func:`factor_pairs`.  The classes are any containers of morphism
-    ids; hot callers pass the ``members`` frozensets."""
-    return ((j, p) for j, p in factor_pairs(cat, f) if j in left and p in right)
+def factorizations(cat: FinCat, f: int, left: int, right: int) -> Iterator[tuple[int, int]]:
+    """Every (j, p) with p∘j = f, j in ``left`` and p in ``right`` (both
+    bitmasks over morphism ids), in the scan order of :func:`factor_pairs`."""
+    return ((j, p) for j, p in factor_pairs(cat, f) if left >> j & 1 and right >> p & 1)
 
 
-def first_factorization(
-    cat: FinCat, f: int, left: Container[int], right: Container[int]
-) -> tuple[int, int] | None:
-    return next(factorizations(cat, f, left, right), None)
+def first_factorization(cat: FinCat, f: int, left: int, right: int) -> tuple[int, int] | None:
+    """The first of :func:`factorizations`, or ``None``; a plain loop, as
+    hypothesis 5 of Thm 1.2 runs it for every candidate."""
+    for j, p in factor_pairs(cat, f):
+        if left >> j & 1 and right >> p & 1:
+            return j, p
+    return None
 
 
 def enumerate_factorizations(
@@ -579,7 +595,7 @@ def enumerate_factorizations(
     """All factorizations f = p∘j with j ∈ left and p ∈ right, in scan order."""
     return [
         Factorization(cat, f, j, cat.tgt(j), p)
-        for j, p in factorizations(cat, f, left.members, right.members)
+        for j, p in factorizations(cat, f, left.mask, right.mask)
     ]
 
 

@@ -172,7 +172,7 @@ def _cofibrant_approx_map(ms: ModelStructure, x: int) -> int:
     """Canonical C̃x → x from the first (C, F∩W) factorization of ∅→x."""
     cat = ms.cat
     pair = first_factorization(
-        cat, point_from_initial(cat, x), ms.C.members, ms.F.members & ms.W.members
+        cat, point_from_initial(cat, x), ms.C.mask, ms.F.mask & ms.W.mask
     )
     if pair is None:
         raise InputError("no cofibrant approximation available")
@@ -183,7 +183,7 @@ def _fibrant_approx_map(ms: ModelStructure, x: int) -> int:
     """Canonical x → F̃x from the first (C∩W, F) factorization of x→∗."""
     cat = ms.cat
     pair = first_factorization(
-        cat, point_to_terminal(cat, x), ms.C.members & ms.W.members, ms.F.members
+        cat, point_to_terminal(cat, x), ms.C.mask & ms.W.mask, ms.F.mask
     )
     if pair is None:
         raise InputError("no fibrant approximation available")

@@ -18,6 +18,7 @@ from modelcat import (
 )
 from modelcat import census as census_mod
 from modelcat.catio import fixture_path
+from modelcat.fincat import _bits
 from modelcat.census import DEFAULT_BUDGET, BudgetExceeded, weak_factorization_systems
 from modelcat.cli import run
 from modelcat.extend import ExtensionKind
@@ -302,9 +303,9 @@ def _pruned_triples_loop(cat):
             W = _composite(cat, L1, R2)
             if W & L2 != L1 or W & R1 != R2:
                 continue
-            W_cls = MorphClass(cat, census_mod._members(W))
+            W_cls = MorphClass(cat, frozenset(_bits(W)))
             if closure_check(W_cls, "two_of_three").passed:
-                found.append((W_cls.members, census_mod._members(L2), census_mod._members(R1)))
+                found.append((W_cls.members, frozenset(_bits(L2)), frozenset(_bits(R1))))
     return found, pairs
 
 

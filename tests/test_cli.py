@@ -185,6 +185,45 @@ def test_minimal_fail_missing_limits(capsys):
     assert "bicomplete" in report["payload"]["reason"]
 
 
+def test_minimal_refuses_an_invalid_category(capsys, tmp_path):
+    """A file that is not a category is an input error (exit 2) for
+    ``minimal`` as for ``bicomplete``, not a failed bicompleteness check."""
+    spec = json.loads(Path(FIX["chain2.cat"]).read_text())
+    spec["compose"].remove(["g", "f", "gf"])
+    broken = tmp_path / "broken.cat"
+    broken.write_text(json.dumps(spec))
+    assert run(["validate", str(broken)]) == 1
+    capsys.readouterr()
+    for command in ("minimal", "bicomplete"):
+        for fmt in ("text", "json"):
+            assert run([command, str(broken), "--format", fmt]) == 2, (command, fmt)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "does not validate" in captured.err
+
+
+def test_quillen_equivalence_witness_names_objects(capsys, tmp_path):
+    """The identity adjunction on the arrow from (isos, all, all) to
+    (all, all, ids) is a Quillen pair but not an equivalence; the witness
+    names the objects a and x as objects and g and its adjunct as maps."""
+    cat = load_fixture("arrow.cat")
+    adj = _write_identity_adjunction(tmp_path / "arrow_identity.adj", "arrow.cat")
+    m = _write_classes(tmp_path / "m.classes", cat, W="ids", C="all", F="all")
+    n = _write_classes(tmp_path / "n.classes", cat, W="all", C="all", F="ids")
+    code = run(["quillen", "equivalence", adj, "--classes-m", m, "--classes-n", n])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "quillen equivalence: fail\n"
+        "  passed: False\n"
+        "  description: adjunct pair disagrees on weak equivalence\n"
+        "  witness:\n"
+        "    a: 0\n"
+        "    x: 1\n"
+        "    g: f\n"
+        "    adjunct: f\n"
+    )
+
+
 def test_extend_fail_with_named_witness(capsys):
     code, report = _json_run(
         capsys,
@@ -338,23 +377,29 @@ def test_properness_fail_pins_message(capsys, tmp_path):
 # -- exit code 2: input and usage errors --------------------------------
 
 
+def _write_identity_adjunction(path, fixture):
+    """An adjunction file for the identity adjunction on a fixture."""
+    cat = load_fixture(fixture)
+    identity = {
+        "objects": {o: o for o in cat.objects},
+        "morphisms": {m.name: m.name for m in cat.morphisms},
+    }
+    ids = {o: cat.name(cat.identities[x]) for x, o in enumerate(cat.objects)}
+    path.write_text(json.dumps({
+        "source": FIX[fixture], "target": FIX[fixture],
+        "left": identity, "right": identity, "unit": ids, "counit": ids,
+    }))
+    return str(path)
+
+
 def _retract_requests(tmp_path):
     """Every structure command on the non-bicomplete retract category with
     W = identities and C = F = all maps, which passes every axiom check."""
     cat = load_fixture("retract.cat")
     triple = _write_classes(tmp_path / "ids_all.classes", cat, W="ids", C="all", F="all")
     wg = _write_classes(tmp_path / "wg.classes", cat, Wg="all")
-    identity = {
-        "objects": {o: o for o in cat.objects},
-        "morphisms": {m.name: m.name for m in cat.morphisms},
-    }
-    ids = {o: cat.name(cat.identities[x]) for x, o in enumerate(cat.objects)}
-    adj = tmp_path / "retract_identity.adj"
-    adj.write_text(json.dumps({
-        "source": FIX["retract.cat"], "target": FIX["retract.cat"],
-        "left": identity, "right": identity, "unit": ids, "counit": ids,
-    }))
-    retract, adj = FIX["retract.cat"], str(adj)
+    adj = _write_identity_adjunction(tmp_path / "retract_identity.adj", "retract.cat")
+    retract = FIX["retract.cat"]
     pair = ["--classes-m", triple, "--classes-n", triple]
     requests = [["verify", retract, triple], ["classify", retract, triple, triple]]
     requests += [["properness", retract, triple, "--side", side] for side in ("left", "right")]

@@ -26,8 +26,9 @@ from modelcat import (
     check_thm12,
     check_thm17,
 )
+from modelcat.census import enumerate_model_structures
 from modelcat.extend import check_properness
-from modelcat.fincat import MissingLimitError, point_from_initial
+from modelcat.fincat import MissingLimitError, from_poset, point_from_initial
 from modelcat.modelstruct import find_cylinder, verify_model_structure
 from modelcat.morphclass import (
     CheckResult,
@@ -364,3 +365,30 @@ def test_classes_over_another_category_are_refused(arrow, chain2, arrow_minimal)
         ExtensionCandidate(arrow_minimal, alien, arrow_minimal.C, arrow_minimal.F)
     with pytest.raises(InputError, match="different categories"):
         verify_model_structure(arrow, arrow_minimal.W, arrow_minimal.C, alien)
+
+
+def test_hypothesis_6_reads_the_cofibrant_sources(request):
+    """On [1]×[2], where a cofibration can leave a non-cofibrant object,
+    every candidate (W, ids ∪ {g}, F) with g a non-identity cofibration
+    matches the oracle, and on some of them hypothesis 6 would fail if it
+    pushed W out along every C_g-map instead of those out of cofibrant
+    objects."""
+    elements = [f"{i}{j}" for i in range(2) for j in range(3)]
+    cat = from_poset(elements, lambda a, b: a[0] <= b[0] and a[1] <= b[1])
+    bases = enumerate_model_structures(cat).structures
+    ids = cat.identity_set
+    candidates = [
+        ExtensionCandidate(base, base.W, MorphClass(cat, ids | {g}), base.F)
+        for base in bases
+        for g in sorted(base.C.members - ids)
+    ]
+    _scan(candidates)
+    unguarded = [
+        cand for cand in candidates
+        if any(
+            f in cand.base.W.members and g in cand.C_g.members
+            and fp not in cand.base.W.members
+            for f, g, fp in pushout_transfers(cat)
+        )
+    ]
+    assert any(check_thm12(cand).verdicts["6"].passed for cand in unguarded)

@@ -18,7 +18,9 @@ from modelcat import (
     has_lifting,
     lifting_closure,
 )
+from modelcat.extend import check_properness
 from modelcat.fincat import opposite
+from modelcat.modelstruct import ModelStructure
 from modelcat.morphclass import (
     CheckResult,
     _closure_verdict,
@@ -27,6 +29,8 @@ from modelcat.morphclass import (
     factors_all,
     first_factorization,
     lifting_blocks,
+    pullback_transfers,
+    pushout_transfers,
     retract_pairs,
     unliftable_pairs,
 )
@@ -64,6 +68,15 @@ def test_class_constructors(arrow):
     assert MorphClass.empty(arrow).members == frozenset()
     with pytest.raises(InputError):
         MorphClass.of(arrow, [7])
+
+
+def test_class_members_must_be_morphism_ids(arrow):
+    """Ids 0 to n - 1 make a class; -1 and n are refused."""
+    n = len(arrow.morphisms)
+    assert MorphClass.of(arrow, [0, n - 1]).members == {0, n - 1}
+    for bad in ([-1], [n], [0, n], [-1, 1]):
+        with pytest.raises(InputError, match="morphisms of the category"):
+            MorphClass.of(arrow, bad)
 
 
 def test_class_algebra(arrow):
@@ -410,7 +423,9 @@ def test_factorizations_match_brute_force(request, name):
                  if gf == f and j in left and p in right),
                 key=lambda jp: (cat.tgt(jp[0]), jp[0], jp[1]),
             )
-            assert list(factorizations(cat, f, left, right)) == want
+            masks = MorphClass(cat, left).mask, MorphClass(cat, right).mask
+            assert list(factorizations(cat, f, *masks)) == want
+            assert first_factorization(cat, f, *masks) == (want[0] if want else None)
 
 
 # -- bitmask checks against the frozenset loops ---------------------------
@@ -431,8 +446,7 @@ def _has_lifting_loop(left, right):
 
 
 def _factors_all_loop(cat, left, right, description):
-    """Oracle for ``factors_all``: the frozenset factorization search, map
-    by map."""
+    """Oracle for ``factors_all``: the factorization search, map by map."""
     for f in range(len(cat.morphisms)):
         if first_factorization(cat, f, left, right) is None:
             return CheckResult.fail(description, f=f)
@@ -466,6 +480,99 @@ def test_mask_checks_match_loops(request, name, sample):
         lift = has_lifting(cat, left.mask, right.mask)
         assert lift == _has_lifting_loop(left, right)
         factor = factors_all(cat, left.mask, right.mask, "no factorization")
-        assert factor == _factors_all_loop(cat, left.members, right.members, "no factorization")
+        assert factor == _factors_all_loop(cat, left.mask, right.mask, "no factorization")
         failures += (not lift.passed) + (not factor.passed)
     assert 0 < failures < 2 * len(pairs)
+
+
+# -- closure and transfer scans against the frozenset loops ---------------
+
+
+def _closure_loop(cls, property):
+    """Oracle for ``closure_check``: frozenset membership tests over the
+    retract, composable-pair and transfer tables, in table order."""
+    cat, mem = cls.cat, cls.members
+    if property == "retracts":
+        for f, g, (ia, ra, ib, rb) in retract_pairs(cat):
+            if g in mem and f not in mem:
+                return CheckResult.fail(
+                    "not closed under retracts", f=f, g=g, i_A=ia, r_A=ra, i_B=ib, r_B=rb
+                )
+        return CheckResult.ok("retracts")
+    if property == "composition":
+        for f, g, gf in cat.composable_pairs:
+            if f in mem and g in mem and gf not in mem:
+                return CheckResult.fail("not closed under composition", f=f, g=g, composite=gf)
+        return CheckResult.ok("composition")
+    if property == "two_of_three":
+        for f, g, gf in cat.composable_pairs:
+            if (f in mem) + (g in mem) + (gf in mem) == 2:
+                return CheckResult.fail("two-of-three fails", f=f, g=g, composite=gf)
+        return CheckResult.ok("two_of_three")
+    transfers = pushout_transfers if property == "pushouts" else pullback_transfers
+    for f, g, fp in transfers(cat):
+        if f in mem and fp not in mem:
+            return CheckResult.fail(f"not closed under {property}", f=f, along=g, transfer=fp)
+    return CheckResult.ok(property)
+
+
+def _properness_loop(ms, side):
+    """Oracle for ``check_properness``: the transfers of W-maps along C
+    (left) or F (right) by frozenset membership, in table order."""
+    transfers, along = {
+        "left": (pushout_transfers, ms.C.members),
+        "right": (pullback_transfers, ms.F.members),
+    }[side]
+    W = ms.W.members
+    for f, g, fp in transfers(ms.cat):
+        if f in W and g in along and fp not in W:
+            return CheckResult.fail(f"not {side} proper", f=f, along=g, transfer=fp)
+    return CheckResult.ok(f"{side} proper")
+
+
+@pytest.mark.parametrize("name", ["pt", "arrow", "chain2"])
+def test_mask_scans_match_loops_on_subset_classes(request, name):
+    """``closure_check`` (all five properties) on every subset class, and
+    ``check_properness`` (both sides) with W and the class W-maps are
+    transferred along ranging over every pair of subset classes, give the
+    loops' verdicts and witnesses."""
+    cat = request.getfixturevalue(name)
+    n = len(cat.morphisms)
+    classes = [
+        MorphClass.of(cat, members)
+        for r in range(n + 1)
+        for members in itertools.combinations(range(n), r)
+    ]
+    failures = checks = 0
+    for cls in classes:
+        for prop in PROPERTIES:
+            got = closure_check(cls, prop)
+            assert got == _closure_loop(cls, prop), (cls.members, prop)
+            failures += not got.passed
+            checks += 1
+    for W, along in itertools.product(classes, repeat=2):
+        ms = ModelStructure(cat, W, along, along)
+        for side in ("left", "right"):
+            got = check_properness(ms, side)
+            assert got == _properness_loop(ms, side), (W.members, along.members, side)
+            failures += not got.passed
+            checks += 1
+    assert (failures > 0) == (n > 1) and failures < checks
+
+
+@pytest.mark.parametrize("census", ["diamond_census", "bool3_census"])
+def test_mask_scans_match_loops_on_census_structures(request, census):
+    """The same comparison on every class and every structure of a census."""
+    structures = request.getfixturevalue(census).structures
+    classes = {cls.members: cls for ms in structures for cls in (ms.W, ms.C, ms.F)}
+    for cls in classes.values():
+        for prop in PROPERTIES:
+            assert closure_check(cls, prop) == _closure_loop(cls, prop), (cls.members, prop)
+    improper = 0
+    for ms in structures:
+        for side in ("left", "right"):
+            got = check_properness(ms, side)
+            assert got == _properness_loop(ms, side)
+            improper += not got.passed
+    assert 0 < improper < 2 * len(structures)
+

@@ -8,12 +8,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import modelcat
 
 TESTS = Path(__file__).resolve().parent
 
 
-def _run_optimized(test_file: str) -> None:
+@pytest.mark.parametrize(
+    "test_file", ["test_acceptance.py", "test_hypothesis_tables.py", "test_morphclass.py"]
+)
+def test_file_under_optimize(test_file):
     src = str(Path(modelcat.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(TESTS)])}
     out = subprocess.run(
@@ -24,11 +29,3 @@ def _run_optimized(test_file: str) -> None:
         cwd=TESTS.parent, env=env, capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stdout + out.stderr
-
-
-def test_acceptance_suite_under_optimize():
-    _run_optimized("test_acceptance.py")
-
-
-def test_hypothesis_tables_under_optimize():
-    _run_optimized("test_hypothesis_tables.py")
