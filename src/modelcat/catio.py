@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .fincat import FinCat, InputError, build_category
 from .morphclass import MorphClass
-from .quillen import Adjunction, Functor, validate_adjunction
+from .quillen import Adjunction, Functor
 
 
 def _load_json(text: str, what: str) -> dict:
@@ -150,9 +150,8 @@ def parse_adjunction(text: str, base_dir: Path) -> Adjunction:
     except KeyError as e:
         raise InputError(f"unit/counit: missing or unknown entry {e}") from e
     adj = Adjunction(S, T, unit, counit)
-    issues = validate_adjunction(adj)
-    if issues:
-        raise InputError(f"adjunction invalid: {issues[0]}")
+    if adj.issues:
+        raise InputError(f"adjunction invalid: {adj.issues[0]}")
     return adj
 
 

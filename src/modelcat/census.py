@@ -16,7 +16,8 @@ its preorder, :attr:`FinCat.preorder`, and raises
 ``int`` bitmasks only.  The closure and the factorization test read the
 per-category tables through :func:`llp`, :func:`rlp` and
 :func:`factors_all`, which cache them on the category; the per-wfs object
-masks live for one census.
+masks live for one census.  Re-verification shares one :class:`MorphClass`
+per distinct class; :func:`extension_graph` walks no pairs.
 
 ``candidates_checked`` counts candidate triples in naive mode and pairs of
 weak factorization systems tried in pruned mode.  The budget bounds the
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from .fincat import FinCat, InputError, Preorder, _bits, is_finitely_bicomplete
 from .morphclass import MorphClass, factors_all, llp, rlp
 from .modelstruct import ModelStructure, verify_model_structure
-from .extend import ExtensionKind, TheoremViolationError, classify_extension
+from .extend import ExtensionKind, TheoremViolationError, _extension_kind, classify_extension
 
 DEFAULT_BUDGET = 2**20
 
@@ -155,7 +156,8 @@ def _pruned_triples(
                     W_in[c] |= a_bit
             if thin.two_of_three(W, W_out, W_in):
                 found.append((W, L2, R1))
-    return [tuple(frozenset(_bits(m)) for m in t) for t in found], pairs
+    members = {m: frozenset(_bits(m)) for m in set(itertools.chain(*found))}
+    return [tuple(members[m] for m in t) for t in found], pairs
 
 
 def enumerate_model_structures(
@@ -207,11 +209,12 @@ def enumerate_model_structures(
     else:
         found, checked = _pruned_triples(cat, thin, budget)
 
+    classes: dict[frozenset[int], MorphClass] = {}  # one per distinct class
     structures = tuple(
-        ModelStructure.build(
-            cat, MorphClass(cat, W), MorphClass(cat, C), MorphClass(cat, F)
-        )
-        for W, C, F in sorted(found, key=lambda t: tuple(map(sorted, t)))
+        ModelStructure.build(cat, *(
+            classes.get(m) or classes.setdefault(m, MorphClass(cat, m)) for m in triple
+        ))
+        for triple in sorted(found, key=lambda t: tuple(map(sorted, t)))
     )
     for ms in structures:
         if not ms.verified:
@@ -251,28 +254,48 @@ class ExtensionGraph:
         raise InputError("census does not contain the minimal structure")
 
 
+def _containments(masks: list[int], n_maps: int) -> list[tuple[int, int]]:
+    """Per node, the nodes whose class contains its class and those whose
+    class lies inside it (bitmasks), once per distinct class."""
+    nodes_of: dict[int, int] = {}  # per distinct class, the nodes that have it
+    for i, m in enumerate(masks):
+        nodes_of[m] = nodes_of.get(m, 0) | 1 << i
+    holds = [0] * n_maps  # per morphism, the nodes whose class holds it
+    for m, nodes in nodes_of.items():
+        for f in _bits(m):
+            holds[f] |= nodes
+    everyone = (1 << len(masks)) - 1
+    around: dict[int, tuple[int, int]] = {}
+    for m in nodes_of:
+        contains, outside = everyone, 0
+        for f, nodes in enumerate(holds):
+            if m >> f & 1:
+                contains &= nodes
+            else:
+                outside |= nodes
+        around[m] = (contains, everyone & ~outside)
+    return [around[m] for m in masks]
+
+
 def extension_graph(census: CensusResult) -> ExtensionGraph:
-    """Directed graph of extension relations between census structures,
-    labeled with kind and Bousfield flags by :func:`classify_extension`.
-    The minimal structure must reach every node through an ll edge;
-    otherwise :class:`TheoremViolationError` is raised."""
-    nodes = census.structures
-    W_masks = [ms.W.mask for ms in nodes]
+    """The edges (i, j, kind), in (i, j) order, of the ordered pairs i ≠ j
+    of census structures that :func:`classify_extension` does not call
+    ``other``, with its kind and flags.  No pair is walked: per node, the
+    nodes whose W, C, F contain (up) or lie inside (in) its own give the
+    partners W_up & (C_up | C_in) & (F_up | F_in), and each edge's kind
+    from the same masks.  The minimal structure must reach every node
+    through an ll edge; otherwise :class:`TheoremViolationError` is raised."""
+    nodes, n_maps = census.structures, len(census.cat.morphisms)
+    W, C, F = (_containments([getattr(ms, X).mask for ms in nodes], n_maps) for X in "WCF")
     edges = []
-    for i, a in enumerate(nodes):
-        Wa = W_masks[i]
-        for j, b in enumerate(nodes):
-            # every kind but "other" needs W_a ⊆ W_b, so skip the rest unclassified
-            if i == j or Wa & ~W_masks[j]:
-                continue
-            k = classify_extension(a, b)
-            if k.kind != "other":
-                edges.append((i, j, k))
+    for i, ((W_up, W_in), (C_up, C_in), (F_up, F_in)) in enumerate(zip(W, C, F)):
+        for j in _bits(W_up & (C_up | C_in) & (F_up | F_in) & ~(1 << i)):
+            edges.append((i, j, _extension_kind(
+                1, W_in >> j & 1, C_up >> j & 1, C_in >> j & 1, F_up >> j & 1, F_in >> j & 1
+            )))
     graph = ExtensionGraph(census, nodes, tuple(edges))
     mi = graph.minimal_index
-    reachable = {
-        j for i, j, k in edges if i == mi and k.kind == "ll"
-    }
+    reachable = {j for i, j, k in edges if i == mi and k.kind == "ll"}
     if reachable != set(range(len(nodes))) - {mi}:
         raise TheoremViolationError(
             "minimal structure does not ll-reach every census structure"

@@ -175,12 +175,11 @@ def _cylinders(cand: ExtensionCandidate) -> CheckResult:
 def _w_pushout_stable(cand: ExtensionCandidate) -> CheckResult:
     """W is stable under pushout along every C_g-map g between cofibrant
     objects.  Only the source of g is tested: g ∈ C_g ⊆ C and ∅→src(g) ∈ C
-    give ∅→tgt(g) = g∘(∅→src(g)) ∈ C, as C is closed under composition."""
+    give ∅→tgt(g) = g∘(∅→src(g)) ∈ C, as C is closed under composition.
+    The transfers that can fail are listed once per base."""
     base = cand.base
-    cat, cof = base.cat, base.cofibrant
-    from_cof = sum(1 << g for g, m in enumerate(cat.morphisms) if m.src in cof)
     return stable_under_transfers(
-        pushout_transfers(cat), base.W.mask, cand.C_g.mask & from_cof,
+        base.cofibrant_pushouts, base.W.mask, cand.C_g.mask,
         "W not closed under pushout along a C_g map between cofibrant objects",
         "W pushout-stability",
     )
@@ -564,49 +563,35 @@ class ExtensionKind:
     proper_W: bool
 
 
-@cache
-def _extension_kind(
-    kind: str, left_bousfield: bool, right_bousfield: bool, proper_W: bool
-) -> ExtensionKind:
-    # ExtensionKind is frozen, so one instance per distinct value is shared
-    return ExtensionKind(kind, left_bousfield, right_bousfield, proper_W)
-
-
 def classify_extension(base: ModelStructure, ext: ModelStructure) -> ExtensionKind:
-    """Classify ext against base by the three containment directions.
-
-    Containments are read non-strictly on the classes' bitmasks
-    (``MorphClass.mask``): X ⊆ Y iff ``not X & ~Y``.  proper_W records
-    whether the weak equivalences actually grew.  This is the one
-    classification procedure; ``mcx classify``,
-    :func:`modelcat.census.enumerate_extensions` and
-    :func:`modelcat.census.extension_graph` all call it.
-    """
+    """Classify ext against base by the three containments, read on the
+    classes' bitmasks (X ⊆ Y iff ``not X & ~Y``).  The per-pair procedure
+    of ``mcx classify`` and :func:`modelcat.census.enumerate_extensions`;
+    :func:`modelcat.census.extension_graph`, whose test oracle it is, reads
+    the same containments for all pairs at once."""
     if base.cat is not ext.cat and base.cat != ext.cat:
         raise InputError("structures live over different categories")
     W, C, F = base.W.mask, base.C.mask, base.F.mask
     Wg, Cg, Fg = ext.W.mask, ext.C.mask, ext.F.mask
+    return _extension_kind(
+        not W & ~Wg, not Wg & ~W, not C & ~Cg, not Cg & ~C, not F & ~Fg, not Fg & ~F
+    )
 
-    Cg_in_C, C_in_Cg = not Cg & ~C, not C & ~Cg
-    Fg_in_F, F_in_Fg = not Fg & ~F, not F & ~Fg
-    if W == Wg and C == Cg and F == Fg:
+
+@cache
+def _extension_kind(W_up, W_in, C_up, C_in, F_up, F_in) -> ExtensionKind:
+    """The kind and flags from the containments X_up (base X ⊆ extension X)
+    and X_in (the reverse); one shared instance per distinct value."""
+    if W_up and W_in and C_up and C_in and F_up and F_in:
         kind = "equal"
-    elif W & ~Wg:
-        kind = "other"
-    elif Cg_in_C and Fg_in_F:
-        kind = "ll"
-    elif Cg_in_C and F_in_Fg:
-        kind = "lm"
-    elif C_in_Cg and Fg_in_F:
-        kind = "ml"
-    elif C_in_Cg and F_in_Fg:
-        kind = "mm"
+    elif W_up and C_in and (F_in or F_up):
+        kind = "ll" if F_in else "lm"
+    elif W_up and C_up and (F_in or F_up):
+        kind = "ml" if F_in else "mm"
     else:
         kind = "other"
     ll = kind in ("equal", "ll")
-    return _extension_kind(
-        kind, ll and Cg == C, ll and Fg == F, W != Wg and not W & ~Wg
-    )
+    return ExtensionKind(kind, ll and bool(C_up), ll and bool(F_up), bool(W_up) and not W_in)
 
 
 def check_invariance(sub: MorphClass, super_: MorphClass, W: MorphClass) -> CheckResult:

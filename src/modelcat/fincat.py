@@ -389,10 +389,7 @@ def opposite(cat: FinCat) -> FinCat:
     cache = cat.scratch
     if "op" not in cache:
         morphisms = tuple(Morphism(m.name, m.tgt, m.src) for m in cat.morphisms)
-        n = len(cat.morphisms)
-        table = tuple(
-            tuple(cat.table[f][g] for f in range(n)) for g in range(n)
-        )
+        table = tuple(zip(*cat.table))  # row g of the transpose is column g
         cache["op"] = FinCat(cat.objects, morphisms, cat.identities, table)
     return cache["op"]
 

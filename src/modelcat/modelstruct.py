@@ -21,10 +21,12 @@ from .morphclass import (
     MorphClass,
     TheoremViolationError,
     closure_check,
+    escaping_transfers,
     factorizations,
     factors_all,
     first_factorization,
     has_lifting,
+    pushout_transfers,
     run_checks,
 )
 
@@ -119,6 +121,14 @@ class ModelStructure:
         return frozenset(
             x for x in range(len(cat.objects)) if point_from_initial(cat, x) in self.C.members
         )
+
+    @cached_property
+    def cofibrant_pushouts(self) -> tuple[tuple[int, int, int], ...]:
+        """The pushout transfers (f, g, f') with f ∈ W, f' ∉ W and g out of a
+        cofibrant object, which Thm 1.2 hypothesis 6 tests per candidate."""
+        cat, cof = self.cat, self.cofibrant
+        from_cof = sum(1 << g for g, m in enumerate(cat.morphisms) if m.src in cof)
+        return escaping_transfers(pushout_transfers(cat), self.W.mask, from_cof)
 
     @cached_property
     def fibrant(self) -> frozenset[int]:

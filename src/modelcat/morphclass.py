@@ -12,15 +12,17 @@ for C∩W), so a caller builds no class:
   :func:`lifting_blocks`, per map i the maps p with an (i, p) square that
   has no lift; a failed :func:`has_lifting` reads its witness square from
   :func:`unliftable_pairs`;
-- factorization: :func:`factors_all` reads :func:`factor_masks`, per map
-  its :func:`factor_pairs` as bits, and :func:`factorizations` /
-  :func:`first_factorization` filter :func:`factor_pairs`;
+- factorization: :func:`factors_all` ANDs per-object masks on a preorder
+  and reads :func:`factor_masks` (per map its :func:`factor_pairs` as
+  bits) otherwise, and :func:`factorizations` / :func:`first_factorization`
+  filter :func:`factor_pairs`;
 - closure: :func:`closure_check` scans :func:`retract_pairs` and
   ``FinCat.composable_pairs``, and :func:`stable_under_transfers` (the
   first (f, g, f') of :func:`pushout_transfers` or
   :func:`pullback_transfers` with f ∈ X, g ∈ along, f' ∉ X) serves
   closure under pushouts and pullbacks, properness and Thm 1.2
-  hypothesis 6 in :mod:`modelcat.extend`.
+  hypothesis 6 in :mod:`modelcat.extend` (there on the
+  :func:`escaping_transfers` its base lists once).
 
 :func:`run_checks` is the one runner of the axiom table
 (:func:`modelcat.modelstruct.verify_model_structure`) and the Thm 1.2 /
@@ -528,6 +530,18 @@ def stable_under_transfers(
     return CheckResult.ok(success)
 
 
+def escaping_transfers(
+    transfers: Iterable[tuple[int, int, int]], inside: int, along: int
+) -> tuple[tuple[int, int, int], ...]:
+    """The (f, g, f') of ``transfers`` with f in ``inside``, g in ``along``
+    and f' not in ``inside``, in table order: the only ones on which
+    :func:`stable_under_transfers` can fail for ``along`` or a part of it."""
+    return tuple(
+        (f, g, fp) for f, g, fp in transfers
+        if inside >> f & 1 and not inside >> fp & 1 and along >> g & 1
+    )
+
+
 def closure_check(cls: MorphClass, property: str) -> CheckResult:
     """Closure of a class under retracts, composition, pushouts, pullbacks
     or the two-out-of-three rule, with a least-id witness on failure.
@@ -602,7 +616,21 @@ def enumerate_factorizations(
 def factors_all(cat: FinCat, left: int, right: int, description: str) -> CheckResult:
     """Pass iff every morphism factors as p∘j with j in ``left`` and p in
     ``right``, both bitmasks over morphism ids; on failure the least
-    morphism that does not factor is the witness ``f``."""
+    morphism that does not factor is the witness ``f``.  On a preorder
+    f: a→b factors iff (objects m with a→m in left) & (objects m with m→b
+    in right) is not empty."""
+    po = cat.preorder
+    if po is not None:
+        left_out, right_in = [0] * len(po.up), [0] * len(po.up)
+        for a, b, f in po.arrows:
+            if left >> f & 1:
+                left_out[a] |= 1 << b
+            if right >> f & 1:
+                right_in[b] |= 1 << a
+        missing = [f for a, b, f in po.arrows if not left_out[a] & right_in[b]]
+        if missing:
+            return CheckResult.fail(description, f=min(missing))
+        return CheckResult.ok("factorization")
     for f in range(len(cat.morphisms)):
         for j, p in factor_masks(cat, f):
             if left & j and right & p:

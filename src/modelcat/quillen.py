@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fincat import FinCat, InputError, point_from_initial, point_to_terminal
 from .morphclass import CheckResult, TheoremViolationError, first_factorization
@@ -69,6 +70,11 @@ class Adjunction:
     def identity(cls, cat: FinCat) -> "Adjunction":
         f = Functor.identity(cat)
         return cls(f, f, cat.identities, cat.identities)
+
+    @cached_property
+    def issues(self) -> tuple[str, ...]:
+        """:func:`validate_adjunction` of this adjunction, computed once."""
+        return tuple(validate_adjunction(self))
 
 
 def validate_adjunction(adj: Adjunction) -> list[str]:
@@ -137,9 +143,8 @@ def is_quillen_pair(
     """Pass iff S preserves cofibrations and trivial cofibrations; the
     classically equivalent right-hand condition on T is computed as well,
     and a disagreement raises :class:`TheoremViolationError`."""
-    issues = validate_adjunction(adj)
-    if issues:
-        raise InputError(f"invalid adjunction: {issues[0]}")
+    if adj.issues:
+        raise InputError(f"invalid adjunction: {adj.issues[0]}")
     if msM.cat != adj.S.source or msN.cat != adj.S.target:
         raise InputError("model structures do not match the adjunction")
 

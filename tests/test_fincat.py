@@ -41,6 +41,8 @@ def test_opposites_validate(name, request):
     cat = request.getfixturevalue(name)
     op = opposite(cat)
     assert validate_category(op).ok
+    n = len(cat.morphisms)
+    assert all(op.table[g][f] == cat.table[f][g] for f in range(n) for g in range(n))
     # involution on the data that matters
     opop = opposite(op)
     assert opop.table == cat.table

@@ -18,6 +18,7 @@ from modelcat import (
     has_lifting,
     lifting_closure,
 )
+from modelcat.census import enumerate_model_structures
 from modelcat.extend import check_properness
 from modelcat.fincat import opposite
 from modelcat.modelstruct import ModelStructure
@@ -460,18 +461,37 @@ def test_lifting_blocks_are_the_unliftable_pairs(bool3):
     } == set(unliftable_pairs(bool3))
 
 
-@pytest.mark.parametrize("name, sample", [("arrow", None), ("chain2", None), ("diamond", 4000)])
+def _census_and_random_classes(cat, count):
+    """The classes C, F, C∩W and F∩W of every census structure, plus
+    ``count`` seeded random subsets, so that both verdicts occur often."""
+    rng, n = random.Random(6), len(cat.morphisms)
+    pool = {frozenset(rng.sample(range(n), rng.randrange(n + 1))) for _ in range(count)}
+    for ms in enumerate_model_structures(cat, "pruned").structures:
+        W, C, F = ms.triple()
+        pool |= {C, F, C & W, F & W}
+    return [MorphClass(cat, members) for members in sorted(pool, key=sorted)]
+
+
+@pytest.mark.parametrize(
+    "name, sample",
+    [("arrow", None), ("chain2", None), ("retract", None), ("diamond", 4000), ("bool3", 4000)],
+)
 def test_mask_checks_match_loops(request, name, sample):
     """``has_lifting`` and ``factors_all`` on bitmasks give the loops'
     verdicts and witnesses on every pair of subset classes (a seeded
-    sample of them on diamond)."""
+    sample of them on diamond; on bool3, whose 27 maps have too many
+    subsets, a sample of pairs of census and random classes).  retract.cat
+    is not thin, so ``factors_all`` runs its generic search there."""
     cat = request.getfixturevalue(name)
     n = len(cat.morphisms)
-    classes = [
-        MorphClass.of(cat, members)
-        for r in range(n + 1)
-        for members in itertools.combinations(range(n), r)
-    ]
+    if name == "bool3":
+        classes = _census_and_random_classes(cat, 200)
+    else:
+        classes = [
+            MorphClass.of(cat, members)
+            for r in range(n + 1)
+            for members in itertools.combinations(range(n), r)
+        ]
     pairs = list(itertools.product(classes, repeat=2))
     if sample is not None:
         pairs = random.Random(6).sample(pairs, sample)

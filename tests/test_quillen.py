@@ -1,6 +1,7 @@
 """Functor/adjunction validation and Quillen pair/equivalence checks."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,9 @@ from modelcat import (
     is_quillen_pair,
     validate_adjunction,
 )
+from modelcat import quillen
+from modelcat.catio import fixture_path, load_adjunction
+from modelcat.modelstruct import minimal_model_structure
 from modelcat.morphclass import TheoremViolationError
 from modelcat.quillen import hom_bijection_ok, validate_functor
 
@@ -50,6 +54,28 @@ def test_broken_adjunction(diamond):
     bad = Adjunction(adj.S, adj.T, tuple(unit), adj.counit)
     issues = validate_adjunction(bad)
     assert any("unit component" in s for s in issues)
+
+
+def test_adjunction_is_validated_once(diamond, diamond_minimal, monkeypatch):
+    """A parsed adjunction keeps the issue list its parse computed, so
+    Quillen checks do not validate it again; a hand-built one is validated
+    on its first check and refused with its first issue."""
+    real, calls = quillen.validate_adjunction, []
+    monkeypatch.setattr(quillen, "validate_adjunction", lambda adj: calls.append(adj) or real(adj))
+    parsed = load_adjunction(fixture_path("diamond_identity.adj"))
+    assert len(calls) == 1
+    msM = minimal_model_structure(parsed.S.source)
+    for _ in range(3):
+        assert is_quillen_pair(parsed, msM, msM).passed
+    assert len(calls) == 1
+    adj = Adjunction.identity(diamond)
+    unit = list(adj.unit)
+    unit[0] = next(i for i, m in enumerate(diamond.morphisms) if m.name == "bot_a")
+    bad = Adjunction(adj.S, adj.T, tuple(unit), adj.counit)
+    for _ in range(2):
+        with pytest.raises(InputError, match=re.escape(f"invalid adjunction: {real(bad)[0]}")):
+            is_quillen_pair(bad, diamond_minimal, diamond_minimal)
+    assert calls[1:] == [bad]
 
 
 def test_quillen_pair_agreement_across_census(diamond, diamond_census):
