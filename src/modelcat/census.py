@@ -9,15 +9,17 @@ L = llp(rlp(L)), keeps those whose (L, rlp(L)) factors every map, and pairs
 them up; it must return exactly the naive set.  Every structure either mode
 returns is re-verified by :meth:`ModelStructure.build`.
 
-Every finite category with binary products is thin (k ≥ 2 maps A → B
-would give kⁿ maps A → Bⁿ), so the census reads a bicomplete category as
-its preorder, :attr:`FinCat.preorder`, and raises
-:class:`TheoremViolationError` if it has none.  The pair loop then works on
-``int`` bitmasks only.  The closure and the factorization test read the
-per-category tables through :func:`llp`, :func:`rlp` and
-:func:`factors_all`, which cache them on the category; the per-wfs object
-masks live for one census.  Re-verification shares one :class:`MorphClass`
-per distinct class; :func:`extension_graph` walks no pairs.
+The census refuses, through :func:`modelcat.fincat.require_lattice`, any
+category that is not valid and finitely bicomplete, and reads the rest
+as their preorder view (a finitely bicomplete finite category is thin).
+The pair loop then works on ``int`` bitmasks only: W's arrows out of each
+object are an OR of R₂'s over the objects L₁ reaches, and two-out-of-three
+is :func:`composition_failure`, a mask test per arrow.  The closure and
+the factorization test read the per-category tables through
+:func:`llp`, :func:`rlp` and :func:`factors_all`, which cache them on the
+category; the per-wfs object masks live for one census.  Re-verification
+shares one :class:`MorphClass` per distinct class; :func:`extension_graph`
+walks no pairs.
 
 ``candidates_checked`` counts candidate triples in naive mode and pairs of
 weak factorization systems tried in pruned mode.  The budget bounds the
@@ -32,8 +34,8 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .fincat import FinCat, InputError, Preorder, _bits, is_finitely_bicomplete
-from .morphclass import MorphClass, factors_all, llp, rlp
+from .fincat import FinCat, InputError, Preorder, _bits, require_lattice
+from .morphclass import MorphClass, composition_failure, factors_all, llp, rlp
 from .modelstruct import ModelStructure, verify_model_structure
 from .extend import ExtensionKind, TheoremViolationError, _extension_kind, classify_extension
 
@@ -65,22 +67,6 @@ class CensusResult:
 def _subsets(pool: list[int]):
     for r in range(len(pool) + 1):
         yield from (frozenset(c) for c in itertools.combinations(pool, r))
-
-
-def _thin_view(cat: FinCat) -> Preorder:
-    """``cat.preorder``; raises :class:`TheoremViolationError` if ``cat``
-    is not thin or its table is not the composition of a preorder."""
-    po = cat.preorder
-    if po is None:
-        why = "its table is not the composition of a preorder"
-        for (a, b), maps in sorted(cat.hom_table.items()):
-            if len(maps) > 1:
-                why = f"{cat.objects[a]} → {cat.objects[b]} has {len(maps)} maps"
-                break
-        raise TheoremViolationError(
-            f"a finitely bicomplete finite category must be thin, but {why}"
-        )
-    return po
 
 
 def weak_factorization_systems(
@@ -133,28 +119,35 @@ def _pruned_triples(
     r ∈ R₂, f lifts against r, so f is a retract of l and lies in L₁; the R₁
     side is dual."""
     wfs, steps = weak_factorization_systems(cat, budget)
-    k = len(cat.objects)
-    # per wfs: L's arrows out of each object, R's arrows into each object
-    sides = [(L, R, thin.object_masks(L)[0], thin.object_masks(R)[1]) for L, R in wfs]
-    arrows = [(a, c, 1 << f, 1 << a, 1 << c) for a, c, f in thin.arrows]
+    # per wfs: the objects L reaches from each object, R's arrows out of each object
+    sides = []
+    for L, R in wfs:
+        L_to = [[] for _ in thin.up]
+        R_out = [0] * len(thin.up)
+        for a, b, f in thin.arrows:
+            if L >> f & 1:
+                L_to[a].append(b)
+            if R >> f & 1:
+                R_out[a] |= 1 << b
+        sides.append((L, R, L_to, R_out))
     found = []
     pairs = 0
-    for L1, R1, L1_out, _ in sides:
-        for L2, R2, _, R2_in in sides:
+    for L1, R1, L1_to, _ in sides:
+        for L2, R2, _, R2_out in sides:
             if L1 & ~L2:
                 continue
             pairs += 1
             if steps + pairs > budget:
                 raise BudgetExceeded(f"census exceeds the budget of {budget} steps")
-            W = 0
-            W_out = [0] * k
-            W_in = [0] * k
-            for a, c, f_bit, a_bit, c_bit in arrows:
-                if L1_out[a] & R2_in[c]:
-                    W |= f_bit
-                    W_out[a] |= c_bit
-                    W_in[c] |= a_bit
-            if thin.two_of_three(W, W_out, W_in):
+            # a→c ∈ W iff a→b ∈ L₁ and b→c ∈ R₂ for some b
+            W_out = []
+            for targets in L1_to:
+                reach = 0
+                for b in targets:
+                    reach |= R2_out[b]
+                W_out.append(reach)
+            if composition_failure(thin, W_out, True) is None:
+                W = sum(1 << f for a, c, f in thin.arrows if W_out[a] >> c & 1)
                 found.append((W, L2, R1))
     members = {m: frozenset(_bits(m)) for m in set(itertools.chain(*found))}
     return [tuple(members[m] for m in t) for t in found], pairs
@@ -171,9 +164,7 @@ def enumerate_model_structures(
     """
     if mode not in ("naive", "pruned"):
         raise InputError("mode must be 'naive' or 'pruned'")
-    if not is_finitely_bicomplete(cat).ok:
-        raise InputError("census requires a finitely bicomplete category")
-    thin = _thin_view(cat)
+    thin = require_lattice(cat)
     budget = DEFAULT_BUDGET if budget is None else budget
 
     t0 = time.monotonic()

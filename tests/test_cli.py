@@ -224,6 +224,76 @@ def test_quillen_equivalence_witness_names_objects(capsys, tmp_path):
     )
 
 
+def _write_galois_connection(tmp_path):
+    """S ⊣ T between M = {p < q} and N = {x0 < x1 < x2}: S sends p, q to
+    x0, x1 and T sends x0 to p and x1, x2 to q, so the counit at x2 is
+    b: x1 → x2.  Returns the adjunction file and the minimal structures
+    (W = identities, C = F = all maps) on M and N."""
+    specs = {
+        "m.cat": {"objects": ["p", "q"], "morphisms": [{"name": "s", "src": "p", "tgt": "q"}]},
+        "n.cat": {
+            "objects": ["x0", "x1", "x2"],
+            "morphisms": [
+                {"name": "a", "src": "x0", "tgt": "x1"},
+                {"name": "b", "src": "x1", "tgt": "x2"},
+                {"name": "ba", "src": "x0", "tgt": "x2"},
+            ],
+            "compose": [["b", "a", "ba"]],
+        },
+    }
+    cats = {}
+    for name, spec in specs.items():
+        (tmp_path / name).write_text(json.dumps(spec))
+        cats[name] = parse_category(json.dumps(spec))
+    S = {"objects": {"p": "x0", "q": "x1"},
+         "morphisms": {"id_p": "id_x0", "id_q": "id_x1", "s": "a"}}
+    T = {"objects": {"x0": "p", "x1": "q", "x2": "q"},
+         "morphisms": {"id_x0": "id_p", "id_x1": "id_q", "id_x2": "id_q",
+                       "a": "s", "b": "id_q", "ba": "s"}}
+    adj = tmp_path / "mn.adj"
+    adj.write_text(json.dumps({
+        "source": "m.cat", "target": "n.cat", "left": S, "right": T,
+        "unit": {"p": "id_p", "q": "id_q"},
+        "counit": {"x0": "id_x0", "x1": "id_x1", "x2": "b"},
+    }))
+    m = _write_classes(tmp_path / "m.classes", cats["m.cat"], W="ids", C="all", F="all")
+    n = _write_classes(tmp_path / "n.classes", cats["n.cat"], W="ids", C="all", F="all")
+    return str(adj), m, n
+
+
+def test_quillen_witnesses_name_each_field_in_its_category(capsys, tmp_path):
+    """Between two different lattices a witness names a and g in M, and x,
+    the adjunct, and the object and composite of right derived
+    full-faithfulness in N."""
+    adj, m, n = _write_galois_connection(tmp_path)
+    pair = ["--classes-m", m, "--classes-n", n]
+    assert run(["quillen", "pair", adj] + pair) == 0
+    capsys.readouterr()
+    assert run(["quillen", "equivalence", adj] + pair) == 1
+    assert capsys.readouterr().out == (
+        "quillen equivalence: fail\n"
+        "  passed: False\n"
+        "  description: adjunct pair disagrees on weak equivalence\n"
+        "  witness:\n"
+        "    a: q\n"
+        "    x: x2\n"
+        "    g: id_q\n"
+        "    adjunct: b\n"
+    )
+    ext = ["--ext-m", m, "--ext-n", n]
+    code, report = _json_run(capsys, ["quillen", "derived-ff", adj] + pair + ext)
+    assert code == 1
+    assert report["payload"] == {
+        "passed": False,
+        "description": "derived counit is not a weak equivalence",
+        "witness": {"object": "x2", "composite": "b"},
+    }
+    code, report = _json_run(
+        capsys, ["quillen", "derived-ff", adj] + pair + ext + ["--side", "left"]
+    )
+    assert (code, report["payload"]["passed"]) == (0, True)
+
+
 def test_extend_fail_with_named_witness(capsys):
     code, report = _json_run(
         capsys,

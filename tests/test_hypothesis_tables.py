@@ -28,7 +28,7 @@ from modelcat import (
 )
 from modelcat.census import enumerate_model_structures
 from modelcat.extend import check_properness
-from modelcat.fincat import MissingLimitError, from_poset, point_from_initial
+from modelcat.fincat import MissingLimitError, build_category, from_poset, point_from_initial
 from modelcat.modelstruct import find_cylinder, verify_model_structure
 from modelcat.morphclass import (
     CheckResult,
@@ -327,15 +327,23 @@ def test_hypothesis_tables_match_oracles_without_identities(name, expected, fail
 
 
 def test_hypothesis_tables_match_oracles_off_posets(retract):
-    """retract.cat is not thin and lacks B⊔B: hypothesis 2 fails there, and
-    the cylinder of B raises MissingLimitError in both checkers alike."""
-    base = ModelStructure.build(
-        retract, MorphClass.identities(retract), MorphClass.all_maps(retract),
-        MorphClass.all_maps(retract),
+    """A lattice that is not a poset (a ≅ b below a top t) has retract
+    pairs, so hypothesis 2 fails there too; the tables match the oracles
+    on every candidate over its census, with C_g free to miss identities.
+    retract.cat is not finitely bicomplete, so no base is built on it."""
+    everything = MorphClass.all_maps(retract)
+    with pytest.raises(InputError, match="finitely bicomplete"):
+        ModelStructure.build(retract, MorphClass.identities(retract), everything, everything)
+    cat = build_category(
+        ["a", "b", "t"],
+        [("u", "a", "b"), ("v", "b", "a"), ("p", "a", "t"), ("q", "b", "t")],
+        {("v", "u"): "id_a", ("u", "v"): "id_b", ("q", "u"): "p", ("p", "v"): "q"},
     )
-    assert _scan(_candidates(retract, [base], frozenset())) == (
-        {"ll": (2048, 0), "lm": (256, 2)},
-        {"ll 1", "ll 2", "ll 3", "ll 4", "ll 5", "ll 7", "ll 8", "lm 1", "lm 2", "lm 4", "lm 5"},
+    bases = enumerate_model_structures(cat).structures
+    assert _scan(_candidates(cat, bases, frozenset())) == (
+        {"ll": (9216, 4), "lm": (1056, 5)},
+        {"ll 1", "ll 2", "ll 3", "ll 4", "ll 5", "ll 7", "ll 8", "lm 1", "lm 2", "lm 3",
+         "lm 4", "lm 5"},
     )
 
 

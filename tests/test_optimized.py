@@ -16,7 +16,8 @@ TESTS = Path(__file__).resolve().parent
 
 
 @pytest.mark.parametrize(
-    "test_file", ["test_acceptance.py", "test_hypothesis_tables.py", "test_morphclass.py"]
+    "test_file",
+    ["test_acceptance.py", "test_hypothesis_tables.py", "test_morphclass.py", "test_refusal.py"],
 )
 def test_file_under_optimize(test_file):
     src = str(Path(modelcat.__file__).resolve().parent.parent)

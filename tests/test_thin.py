@@ -1,5 +1,5 @@
-"""The preorder view of a thin category and the closed-form tables read
-from it, each checked against the generic search it replaces."""
+"""The preorder view of a thin category, the lattice verdict, and the
+closed-form tables read from it, each checked against its search oracle."""
 
 import dataclasses
 import itertools
@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelcat import census as census_mod
 from modelcat import fincat, morphclass
 from modelcat.fincat import (
     FinCat,
+    InputError,
     Morphism,
+    Preorder,
     build_category,
     is_finitely_bicomplete,
     opposite,
@@ -26,6 +27,12 @@ from modelcat.morphclass import (
     pushout_transfers,
     retract_pairs,
     unliftable_pairs,
+)
+from oracles import (
+    _search_factor_pairs,
+    _search_pushout_transfers,
+    _search_retract_pairs,
+    _search_unliftable_pairs,
 )
 
 
@@ -111,21 +118,56 @@ BUILT = {
 }
 
 
+TABLES = (
+    unliftable_pairs, lifting_blocks, retract_pairs, pushout_transfers,
+    pullback_transfers, lambda cat: factor_pairs(cat, 0),
+)
+
+
+def _least_bound(cat: FinCat, xs, up: bool):
+    """From the hom-sets: the least-index b bounding every x of ``xs``
+    from above (``up``) or below, and bounded by every such bound; or None."""
+    def le(a, b):
+        return bool(cat.hom(a, b) if up else cat.hom(b, a))
+
+    bounds = [b for b in range(len(cat.objects)) if all(le(x, b) for x in xs)]
+    return next((b for b in bounds if all(le(b, c) for c in bounds)), None)
+
+
+def _assert_bounds_match_hom_sets(cat: FinCat) -> None:
+    """``join`` and ``meet`` of (), (x,) and (x, y) equal the least bounds
+    read from the hom-sets."""
+    po = cat.preorder
+    objects = range(len(cat.objects))
+    for xs in [(), *((x,) for x in objects), *itertools.product(objects, repeat=2)]:
+        assert po.join(*xs) == _least_bound(cat, xs, True), xs
+        assert po.meet(*xs) == _least_bound(cat, xs, False), xs
+
+
 def _assert_tables_match_search(cat: FinCat) -> None:
-    """Every table and the bicompleteness gaps equal their generic search,
-    in the same order and with the same witnesses."""
-    searched = morphclass._search_unliftable_pairs(cat)
+    """The bicompleteness gaps equal their generic search, and on a
+    preorder joins and meets equal the hom-sets' least bounds.  On a
+    lattice every table equals its search oracle, in the same order and
+    with the same witnesses; any other category is refused by every table."""
+    assert is_finitely_bicomplete(cat).missing == tuple(fincat._search_bicomplete(cat))
+    if cat.preorder is not None:
+        _assert_bounds_match_hom_sets(cat)
+    searched = _search_unliftable_pairs(cat)
+    if not isinstance(cat.lattice, Preorder):
+        for table in TABLES:
+            with pytest.raises(InputError, match="finitely bicomplete"):
+                table(cat)
+        return
     assert list(unliftable_pairs(cat).items()) == list(searched.items())
     blocks = [0] * len(cat.morphisms)
     for i, p in searched:
         blocks[i] |= 1 << p
     assert lifting_blocks(cat) == tuple(blocks)
-    assert retract_pairs(cat) == morphclass._search_retract_pairs(cat)
-    assert pushout_transfers(cat) == morphclass._search_pushout_transfers(cat)
-    assert pullback_transfers(cat) == morphclass._search_pushout_transfers(opposite(cat))
+    assert retract_pairs(cat) == _search_retract_pairs(cat)
+    assert pushout_transfers(cat) == _search_pushout_transfers(cat)
+    assert pullback_transfers(cat) == _search_pushout_transfers(opposite(cat))
     for f in range(len(cat.morphisms)):
-        assert factor_pairs(cat, f) == morphclass._search_factor_pairs(cat, f)
-    assert is_finitely_bicomplete(cat).missing == tuple(fincat._search_bicomplete(cat))
+        assert factor_pairs(cat, f) == _search_factor_pairs(cat, f)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -154,13 +196,14 @@ def test_relabelled_isomorphs_match_search(name):
 
 
 def test_non_lattices_have_gaps_and_isomorphs_have_retracts():
-    """The extra inputs reach the branches a lattice does not: missing
-    joins and meets, and retract pairs between isomorphic objects."""
+    """The extra inputs reach the branches a poset lattice does not:
+    missing joins and meets (refused by the tables), and retract pairs
+    between isomorphic objects."""
     for name in ("V", "discrete2", "iso,no top"):
         assert not is_finitely_bicomplete(BUILT[name]()).ok
     assert is_finitely_bicomplete(BUILT["iso+top"]()).ok
-    for name in ("iso+top", "iso,no top"):
-        assert retract_pairs(BUILT[name]())
+    assert retract_pairs(BUILT["iso+top"]())
+    assert _search_retract_pairs(BUILT["iso,no top"]())
 
 
 @st.composite
@@ -184,19 +227,21 @@ def test_random_relabelled_posets_match_search(cat):
 
 
 def test_thin_categories_never_search(monkeypatch):
-    """On a thin category no table falls back to a generic search."""
+    """On a thin category validation and bicompleteness read the closed
+    forms, and the tables have no generic search left in the library."""
 
     def searched(*args):
         raise AssertionError("generic search on a thin category")
 
     for name in ("_search_unliftable_pairs", "_search_retract_pairs",
                  "_search_pushout_transfers", "_search_factor_pairs"):
-        monkeypatch.setattr(morphclass, name, searched)
+        assert not hasattr(morphclass, name)
     monkeypatch.setattr(fincat, "_search_bicomplete", searched)
     monkeypatch.setattr(fincat, "_search_validate", searched)
     cat = _lattice(2, 2)
     assert fincat.validate_category(cat).ok
     assert is_finitely_bicomplete(cat).ok
+    assert fincat.require_lattice(cat) is cat.preorder
     unliftable_pairs(cat)
     retract_pairs(cat)
     pullback_transfers(cat)
@@ -298,14 +343,24 @@ def test_preorder_is_none_on_malformed_tables(break_it):
     assert cat.preorder is None
 
 
-def test_census_thin_view_raises_on_a_non_preorder(retract):
-    with pytest.raises(TheoremViolationError, match="has 2 maps"):
-        census_mod._thin_view(retract)
+def test_require_lattice_refusals(retract):
+    """The lattice verdict checks validity, then bicompleteness, then
+    thinness; a category told it is bicomplete without being thin breaks
+    the theorem that makes every finitely bicomplete finite category thin."""
     cat = _lattice(2)
+    assert fincat.require_lattice(cat) is cat.preorder is cat.lattice
     wrong = _entry(cat, cat.hom(1, 2)[0], cat.hom(0, 1)[0], cat.identities[0])
-    with pytest.raises(TheoremViolationError, match="not the composition of a preorder"):
-        census_mod._thin_view(wrong)
-    assert census_mod._thin_view(cat) is cat.preorder
+    with pytest.raises(InputError, match="does not validate"):
+        fincat.require_lattice(wrong)
+    with pytest.raises(InputError, match="finitely bicomplete"):
+        fincat.require_lattice(retract)
+    for name in ("V", "discrete2", "iso,no top"):
+        with pytest.raises(InputError, match="finitely bicomplete"):
+            fincat.require_lattice(BUILT[name]())
+    told = dataclasses.replace(retract)  # a fresh copy: no cached verdict
+    told.scratch["bicomplete"] = fincat.BicompletenessReport(())
+    with pytest.raises(TheoremViolationError, match="has 2 maps"):
+        fincat.require_lattice(told)
 
 
 # -- validation on the preorder view ---------------------------------------
