@@ -34,10 +34,10 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .fincat import FinCat, InputError, Preorder, _bits, require_lattice
+from .fincat import FinCat, InputError, Preorder, TheoremViolationError, _bits, require_lattice
 from .morphclass import MorphClass, composition_failure, factors_all, llp, rlp
 from .modelstruct import ModelStructure, verify_model_structure
-from .extend import ExtensionKind, TheoremViolationError, _extension_kind, classify_extension
+from .extend import ExtensionKind, _extension_kind, classify_extension
 
 DEFAULT_BUDGET = 2**20
 

@@ -8,10 +8,13 @@ closure hypotheses read the verdicts cached on each class
 (``MorphClass.verdicts``); the others pass masks such as
 ``C_g.mask & W_g.mask`` to the table readers of :mod:`modelcat.morphclass`
 (:func:`has_lifting`, :func:`factors_all`, :func:`first_factorization`,
-:func:`stable_under_transfers`), and the point maps ∅→x (hypothesis 4)
-and fold maps (hypothesis 5) are computed once per category in
-``cat.scratch``, so a check builds no class.  Thm 1.5 runs the 1.2 table
-on the opposite base and classes.
+:func:`stable_under_transfers`), so a check builds no class.  Thm 1.5
+runs the 1.2 table on the opposite base and classes.
+
+Every (co)limit, the point maps ∅→x of hypothesis 4, the fold maps of
+hypothesis 5 and the pushouts of the constructive engines, is a join of
+the lattice view read in O(1) (:mod:`modelcat.fincat`), so nothing is
+cached per category here.
 
 Every constructive path here (lifts, mapping cylinders, factorizations)
 re-checks its own output against the exhaustive-search primitives in
@@ -25,20 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .fincat import (
-    FinCat,
-    InputError,
-    MissingLimitError,
-    colimit,
-    fold_map,
-    point_from_initial,
-)
+from .fincat import FinCat, InputError, TheoremViolationError, require_lattice
 from .morphclass import (
     CheckResult,
     Factorization,
     MorphClass,
     SquareLiftProblem,
-    TheoremViolationError,
     closure_check,
     combine,
     factors_all,
@@ -146,12 +141,8 @@ def _composition_and(cls: MorphClass, property: str, ok: CheckResult) -> CheckRe
 
 
 def _cofibrant_coincidence(cand: ExtensionCandidate) -> CheckResult:
-    cat, cof, C_g = cand.base.cat, cand.base.cofibrant, cand.C_g.mask
-    points = cat.scratch.get("initial_points")  # the map ∅→x per object x
-    if points is None:
-        points = tuple(point_from_initial(cat, x) for x in range(len(cat.objects)))
-        cat.scratch["initial_points"] = points
-    for x, point in enumerate(points):
+    po, cof, C_g = require_lattice(cand.base.cat), cand.base.cofibrant, cand.C_g.mask
+    for x, point in enumerate(po.arrow[po.join()]):  # the maps ∅→x
         if (C_g >> point & 1) != (x in cof):
             return CheckResult.fail(
                 "C_g point maps do not match the cofibrant objects", object=x
@@ -163,11 +154,10 @@ def _cylinders(cand: ExtensionCandidate) -> CheckResult:
     """Every cofibrant object's fold map factors as a C_g-map followed by
     a W_g-map, which is what :func:`find_cylinder` searches for."""
     cat, C_g, W_g = cand.base.cat, cand.C_g.mask, cand.W_g.mask
-    folds = cat.scratch.setdefault("fold_maps", {})
+    po = require_lattice(cat)
     for x in sorted(cand.base.cofibrant):
-        if x not in folds:
-            folds[x] = fold_map(cat, x)[1]
-        if first_factorization(cat, folds[x], C_g, W_g) is None:
+        fold = po.arrow[po.join(x, x)][x]  # X⊔X→X
+        if first_factorization(cat, fold, C_g, W_g) is None:
             return CheckResult.fail("cofibrant object has no cylinder", object=x)
     return CheckResult.ok("cylinders")
 
@@ -318,11 +308,12 @@ def lemma11_lift(
 
     # top: A→X = q1∘j1 with j1 ∈ C, q1 ∈ F∩W
     j1, q1 = first_factorization(cat, top, C.mask, trivfib)
-    po = colimit(cat, ("pushout", j1, i))  # exists: the assumptions held on a lattice
-    leg_d, leg_b = po.legs  # D→E, B→E
+    po, d, b = require_lattice(cat), cat.tgt(j1), cat.tgt(i)
+    e = po.join(d, b)  # the pushout of j1 and i
+    leg_d, leg_b = po.arrow[d][e], po.arrow[b][e]
 
     # canonical map E→Y induced by (q∘q1, bottom)
-    e_to_y = po.mediators[(cat.tgt(q), (cat.comp(q, q1), bottom))]
+    e_to_y = po.arrow[e][cat.tgt(q)]
     j2, q2 = first_factorization(cat, e_to_y, C.mask, trivfib)
     j = cat.comp(j2, leg_d)  # D→F, lands in C∩W
     if j not in C.members or j not in W.members:
@@ -373,26 +364,20 @@ def mapping_cylinder_factorization(cand: ExtensionCandidate, g: int) -> MappingC
         raise HypothesisError("mapping cylinder needs cofibrant endpoints")
 
     cyl = find_cylinder(cat, cand.C_g, cand.W_g, x, "cylinder")
-    if cyl is None:
-        raise MissingLimitError(f"no cylinder for {cat.objects[x]}")
+    if cyl is None:  # hypothesis 5 of Thm 1.2 fails at x
+        raise HypothesisError(f"no cylinder for {cat.objects[x]}")
     i0, i1 = cyl.power_legs
 
-    # both pushouts exist: the base is verified, so its category is a lattice
-    po1 = colimit(cat, ("pushout", i0, g))
-    sum_map, sigma = po1.legs  # X⊔g: X⊔X→X⊔Y, σ_Y: Y→X⊔Y
-
-    po2 = colimit(cat, ("pushout", cyl.structure_map, sum_map))
-    pi, glue = po2.legs  # π_g: CylX→M, h: X⊔Y→M
+    po = require_lattice(cat)
+    total = po.join(cyl.power_object, y)  # X⊔Y, the pushout of i0 and g
+    sum_map, sigma = po.arrow[cyl.power_object][total], po.arrow[y][total]
+    mid = po.join(cyl.middle, total)  # M_g, the pushout of i0⊔i1 and X⊔g
+    pi, glue = po.arrow[cyl.middle][mid], po.arrow[total][mid]
 
     i_g = cat.comp(glue, cat.comp(sum_map, i1))
     j_g = cat.comp(glue, sigma)
-
-    # X⊔Y→Y collapsing the summands by (g, id)
-    fold = colimit(cat, ("coproduct", x, x)).mediators[
-        (x, (cat.identities[x], cat.identities[x]))
-    ]
-    w = po1.mediators[(y, (cat.comp(g, fold), cat.identities[y]))]
-    p_g = po2.mediators[(y, (cat.comp(g, cyl.collapse), w))]
+    # M_g→Y, induced by (g∘p, X⊔Y→Y) with X⊔Y→Y induced by (g∘fold, id)
+    p_g = po.arrow[mid][y]
 
     if cat.comp(p_g, i_g) != g:
         raise TheoremViolationError("mapping cylinder does not factor g")
@@ -416,10 +401,10 @@ def mapping_cylinder_factorization(cand: ExtensionCandidate, g: int) -> MappingC
         cyl=cyl.middle,
         structure_map=cyl.structure_map,
         collapse=cyl.collapse,
-        sum_object=cat.tgt(sum_map),
+        sum_object=total,
         sum_map=sum_map,
         sigma=sigma,
-        mid=po2.apex,
+        mid=mid,
         pi=pi,
         glue=glue,
         i_g=i_g,
@@ -446,19 +431,18 @@ def cofibrant_approximation_square(base: ModelStructure, f: int) -> CofApproxSqu
     cat = base.cat
     trivfib = base.F.mask & base.W.mask
     x, y = cat.src(f), cat.tgt(f)
+    po = require_lattice(cat)
+    points = po.arrow[po.join()]  # the maps ∅→x
 
     def replace(obj: int) -> tuple[int, int]:
-        pt = point_from_initial(cat, obj)
-        pair = first_factorization(cat, pt, base.C.mask, trivfib)
+        pair = first_factorization(cat, points[obj], base.C.mask, trivfib)
         if pair is None:
             raise HypothesisError("base factorization axiom failed on a point map")
         return pair
 
     cx, u = replace(x)
     cy, v = replace(y)
-    square = SquareLiftProblem(
-        cat, cx, v, point_from_initial(cat, cat.tgt(cy)), cat.comp(f, u)
-    )
+    square = SquareLiftProblem(cat, cx, v, points[cat.tgt(cy)], cat.comp(f, u))
     f_tilde = find_lift(square)
     if f_tilde is None:
         raise TheoremViolationError("base lifting axiom failed on approximation square")
@@ -476,9 +460,10 @@ def factor_c_then_trivfib(cand: ExtensionCandidate, f: int):
     approx = cofibrant_approximation_square(base, f)
     mc = mapping_cylinder_factorization(cand, approx.f_tilde)
 
-    po = colimit(cat, ("pushout", mc.i_g, approx.u))  # exists: a lattice
-    leg_m, leg_x = po.legs  # M→D, X→D
-    d_to_y = po.mediators[(y, (cat.comp(approx.v, mc.p_g), f))]
+    po = require_lattice(cat)
+    d = po.join(mc.mid, x)  # the pushout of i_g and u
+    leg_x = po.arrow[x][d]
+    d_to_y = po.arrow[d][y]  # induced by (v∘p_g, f)
 
     pair = first_factorization(cat, d_to_y, cand.C_g.mask & cand.W_g.mask, cand.F_g.mask)
     if pair is None:

@@ -1,26 +1,32 @@
 """Finite categories as explicit composition tables, plus their finite (co)limits.
 
 Objects and morphisms are referred to by integer index everywhere; the
-string names only matter for file I/O and report rendering.  All computed
-(co)limits carry an exhaustively verified universal property, and the
-canonical choice among equally valid apexes is the one with the least
-object index (then least leg ids), so every downstream construction is
-deterministic.
+string names only matter for file I/O and report rendering.
 
 A category whose hom-sets hold at most one map, with the table composing
 them, is a preorder on its objects; :attr:`FinCat.preorder` reads it once
 (up/down object masks, the one arrow a→b, least-index joins and meets)
 and is None for any other category, malformed ones included.
 :func:`validate_category` and :func:`is_finitely_bicomplete` answer on
-any category: on a preorder from closed forms (a coproduct or pushout
-into x and y is a join, the least-index one being the apex :func:`colimit`
-picks; dually for limits), elsewhere by full search.
+any category: on a preorder from closed forms, elsewhere by full search.
 
 The rest of the library decides questions about model structures, which
 are stated for finitely bicomplete categories; such a finite category is
 thin (k ≥ 2 maps A → B would give kⁿ maps A → Bⁿ), a lattice up to
 equivalence.  :attr:`FinCat.lattice` is that verdict, computed once, and
-:func:`require_lattice` returns its preorder view or raises.
+:func:`require_lattice` returns its preorder view or raises.  On that view
+every (co)limit a model-structure question reads is a join or a meet, and
+every leg or mediator the one arrow between two objects: ∅→x is
+``arrow[join()][x]``; X⊔X is ``join(x, x)``, with both injections
+``arrow[x][X⊔X]`` and the fold map ``arrow[X⊔X][x]``; a pushout of maps
+into p and q is ``join(p, q)``; x→∗, products and pullbacks are the duals
+through ``meet``.
+
+:func:`colimit` and :func:`limit` are the general-category search, with
+an exhaustively verified universal property and the least object index
+(then least leg ids) as the canonical apex; the least-index join is the
+apex they pick.  In the library only :func:`is_finitely_bicomplete` calls
+them, on a category that is not a preorder.
 """
 
 from __future__ import annotations
@@ -319,18 +325,30 @@ def _name_violations(cat: FinCat) -> list[Violation]:
     return bad
 
 
+def _is_id(value, bound: int) -> bool:
+    return isinstance(value, int) and 0 <= value < bound
+
+
 def _search_validate(cat: FinCat) -> ValidationReport:
-    bad = _name_violations(cat)
+    """Every check reads only ids whose type and range an earlier check
+    has confirmed, so a malformed instance gets a report, never an
+    exception."""
     n_obj = len(cat.objects)
     n_mor = len(cat.morphisms)
     for f, m in enumerate(cat.morphisms):
-        if not (0 <= m.src < n_obj and 0 <= m.tgt < n_obj):
+        if not isinstance(m, Morphism):
+            return ValidationReport(
+                (Violation("morphism-type", (f,), f"morphism {f} is not a Morphism"),)
+            )
+    bad = _name_violations(cat)
+    for f, m in enumerate(cat.morphisms):
+        if not (_is_id(m.src, n_obj) and _is_id(m.tgt, n_obj)):
             bad.append(
                 Violation("dangling", (f,), f"{m.name} references a missing object")
             )
             return ValidationReport(tuple(bad))
-    if len(cat.identities) != n_obj or any(
-        not (0 <= i < n_mor) for i in cat.identities
+    if len(cat.identities) != n_obj or not all(
+        _is_id(i, n_mor) for i in cat.identities
     ):
         bad.append(Violation("identities", (), "identity table malformed"))
         return ValidationReport(tuple(bad))
@@ -343,7 +361,9 @@ def _search_validate(cat: FinCat) -> ValidationReport:
                     f"identity of {cat.objects[x]} has wrong endpoints",
                 )
             )
-    if len(cat.table) != n_mor or any(len(row) != n_mor for row in cat.table):
+    if len(cat.table) != n_mor or not all(
+        isinstance(row, (tuple, list)) and len(row) == n_mor for row in cat.table
+    ):
         bad.append(Violation("table-shape", (), "composition table is not square"))
         return ValidationReport(tuple(bad))
 
@@ -352,7 +372,15 @@ def _search_validate(cat: FinCat) -> ValidationReport:
         for f in range(n_mor):
             h = cat.table[g][f]
             composable = cat.tgt(f) == cat.src(g)
-            if composable and h < 0:
+            if not (isinstance(h, int) and h < n_mor):
+                bad.append(
+                    Violation(
+                        "composite-id",
+                        (g, f),
+                        f"{cat.name(g)}∘{cat.name(f)} = {h!r} is not a morphism id",
+                    )
+                )
+            elif composable and h < 0:
                 bad.append(
                     Violation(
                         "missing-composite",
@@ -416,16 +444,8 @@ def opposite(cat: FinCat) -> FinCat:
 
 # -- (co)limits ---------------------------------------------------------
 
-_DUAL_KIND = {
-    "initial": "terminal",
-    "terminal": "initial",
-    "coproduct": "product",
-    "product": "coproduct",
-    "pushout": "pullback",
-    "pullback": "pushout",
-}
-
-_COLIMIT_KINDS = ("initial", "coproduct", "pushout")
+# each limit kind and the colimit kind it is in the opposite category
+_DUAL_KIND = {"terminal": "initial", "product": "coproduct", "pullback": "pushout"}
 
 
 def _check_shape(cat: FinCat, kind: str, diagram: tuple[int, ...]) -> None:
@@ -506,64 +526,12 @@ def colimit(cat: FinCat, shape: tuple) -> ConeResult:
 def limit(cat: FinCat, shape: tuple) -> ConeResult:
     """Canonical limit; computed as the colimit of the dual shape in op(cat)."""
     kind, diagram = shape[0], tuple(shape[1:])
-    if kind not in _DUAL_KIND or _DUAL_KIND[kind] not in _COLIMIT_KINDS:
+    if kind not in _DUAL_KIND:
         raise InputError(f"unknown limit kind {kind!r}")
     r = colimit(opposite(cat), (_DUAL_KIND[kind],) + diagram)
     return ConeResult(
         "limit", kind, diagram, r.apex, r.legs, r.mediators, r.failed_apexes
     )
-
-
-def pushout(cat: FinCat, f: int, g: int) -> ConeResult:
-    return colimit(cat, ("pushout", f, g))
-
-
-def pullback(cat: FinCat, f: int, g: int) -> ConeResult:
-    return limit(cat, ("pullback", f, g))
-
-
-def initial_object(cat: FinCat) -> int | None:
-    r = colimit(cat, ("initial",))
-    return r.apex
-
-
-def terminal_object(cat: FinCat) -> int | None:
-    r = limit(cat, ("terminal",))
-    return r.apex
-
-
-def point_from_initial(cat: FinCat, x: int) -> int:
-    """The unique map ∅→x."""
-    r = colimit(cat, ("initial",))
-    if not r.exists:
-        raise MissingLimitError("no initial object")
-    return r.mediators[(x, ())]
-
-
-def point_to_terminal(cat: FinCat, x: int) -> int:
-    """The unique map x→∗."""
-    r = limit(cat, ("terminal",))
-    if not r.exists:
-        raise MissingLimitError("no terminal object")
-    return r.mediators[(x, ())]
-
-
-def fold_map(cat: FinCat, x: int) -> tuple[ConeResult, int]:
-    """The coproduct X⊔X and the fold map X⊔X→X induced by (id, id)."""
-    cp = colimit(cat, ("coproduct", x, x))
-    if not cp.exists:
-        raise MissingLimitError(f"no coproduct {cat.objects[x]}⊔{cat.objects[x]}")
-    i = cat.identities[x]
-    return cp, cp.mediators[(x, (i, i))]
-
-
-def diagonal_map(cat: FinCat, x: int) -> tuple[ConeResult, int]:
-    """The product X×X and the diagonal X→X×X induced by (id, id)."""
-    pr = limit(cat, ("product", x, x))
-    if not pr.exists:
-        raise MissingLimitError(f"no product {cat.objects[x]}×{cat.objects[x]}")
-    i = cat.identities[x]
-    return pr, pr.mediators[(x, (i, i))]
 
 
 @dataclass(frozen=True)

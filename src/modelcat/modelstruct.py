@@ -1,4 +1,9 @@
-"""Model-structure axioms, cylinder/path objects, minimal structure, homotopy category."""
+"""Model-structure axioms, cylinder/path objects, minimal structure, homotopy category.
+
+The boundary objects, cylinders and path objects read the point, fold
+and diagonal maps from the lattice view as joins and meets
+(:mod:`modelcat.fincat`), so nothing here searches for a (co)limit.
+"""
 
 from __future__ import annotations
 
@@ -9,19 +14,15 @@ from .fincat import (
     FinCat,
     InputError,
     MissingLimitError,
-    diagonal_map,
-    fold_map,
+    TheoremViolationError,
     is_finitely_bicomplete,
     opposite,
-    point_from_initial,
-    point_to_terminal,
     require_lattice,
     validate_category,
 )
 from .morphclass import (
     CheckResult,
     MorphClass,
-    TheoremViolationError,
     closure_check,
     escaping_transfers,
     factorizations,
@@ -121,10 +122,8 @@ class ModelStructure:
     @cached_property
     def cofibrant(self) -> frozenset[int]:
         """Objects x with ∅→x a cofibration."""
-        cat = self.cat
-        return frozenset(
-            x for x in range(len(cat.objects)) if point_from_initial(cat, x) in self.C.members
-        )
+        po, C = require_lattice(self.cat), self.C.mask
+        return frozenset(x for x, point in enumerate(po.arrow[po.join()]) if C >> point & 1)
 
     @cached_property
     def cofibrant_pushouts(self) -> tuple[tuple[int, int, int], ...]:
@@ -137,10 +136,9 @@ class ModelStructure:
     @cached_property
     def fibrant(self) -> frozenset[int]:
         """Objects x with x→∗ a fibration."""
-        cat = self.cat
-        return frozenset(
-            x for x in range(len(cat.objects)) if point_to_terminal(cat, x) in self.F.members
-        )
+        po, F = require_lattice(self.cat), self.F.mask
+        top = po.meet()
+        return frozenset(x for x, row in enumerate(po.arrow) if F >> row[top] & 1)
 
     @cached_property
     def opposite(self) -> "ModelStructure":
@@ -209,10 +207,13 @@ def find_cylinder(
     """First factorization of the fold (resp. diagonal) map of ``x`` whose
     parts land in the given classes; for the path side pass (W, F) and the
     factorization read is diagonal = (right part)∘(left part)."""
+    po = require_lattice(cat)
     if side == "cylinder":
-        power, f = fold_map(cat, x)
+        power = po.join(x, x)
+        leg, f = po.arrow[x][power], po.arrow[power][x]  # injection, fold map
     elif side == "path":
-        power, f = diagonal_map(cat, x)
+        power = po.meet(x, x)
+        leg, f = po.arrow[power][x], po.arrow[x][power]  # projection, diagonal
     else:
         raise InputError("side must be 'cylinder' or 'path'")
     pair = first_factorization(cat, f, left.mask, right.mask)
@@ -220,10 +221,7 @@ def find_cylinder(
         return None
     j, p = pair
     structure_map, collapse = (j, p) if side == "cylinder" else (p, j)
-    return CylinderObject(
-        side, x, cat.tgt(j), structure_map, collapse, power.apex,
-        (power.legs[0], power.legs[1]),
-    )
+    return CylinderObject(side, x, cat.tgt(j), structure_map, collapse, power, (leg, leg))
 
 
 # -- homotopy category --------------------------------------------------
@@ -256,13 +254,14 @@ def left_homotopic(ms: ModelStructure, f: int, g: int) -> bool:
     if cat.src(f) != cat.src(g) or cat.tgt(f) != cat.tgt(g):
         raise InputError("morphisms must be parallel")
     x, y = cat.src(f), cat.tgt(f)
-    cp, fold = fold_map(cat, x)
+    po = require_lattice(cat)
+    power = po.join(x, x)  # X⊔X
+    leg, fold = po.arrow[x][power], po.arrow[power][x]  # both injections, fold map
     # every cylinder of x: a (C, W) factorization of the fold map
     for j, p in factorizations(cat, fold, ms.C.mask, ms.W.mask):
-        i0 = cat.comp(j, cp.legs[0])
-        i1 = cat.comp(j, cp.legs[1])
+        i = cat.comp(j, leg)
         for h in cat.hom(cat.tgt(j), y):
-            if cat.table[h][i0] == f and cat.table[h][i1] == g:
+            if cat.table[h][i] == f == g:
                 return True
     return False
 
@@ -271,12 +270,13 @@ def right_homotopic(ms: ModelStructure, f: int, g: int) -> bool:
     """f ~ g via some path object of the shared target."""
     cat = ms.cat
     x, y = cat.src(f), cat.tgt(f)
-    pr, diag = diagonal_map(cat, y)
+    po = require_lattice(cat)
+    power = po.meet(y, y)  # Y×Y
+    leg, diag = po.arrow[power][y], po.arrow[y][power]  # both projections, diagonal
     for s, q in factorizations(cat, diag, ms.W.mask, ms.F.mask):
-        p0 = cat.comp(pr.legs[0], q)
-        p1 = cat.comp(pr.legs[1], q)
+        p = cat.comp(leg, q)
         for h in cat.hom(x, cat.tgt(s)):
-            if cat.table[p0][h] == f and cat.table[p1][h] == g:
+            if cat.table[p][h] == f == g:
                 return True
     return False
 

@@ -55,7 +55,6 @@ from .fincat import (
     FinCat,
     InputError,
     Preorder,
-    TheoremViolationError,
     _bits,
     opposite,
     require_lattice,

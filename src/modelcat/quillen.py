@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fincat import FinCat, InputError, point_from_initial, point_to_terminal
-from .morphclass import CheckResult, TheoremViolationError, first_factorization
+from .fincat import FinCat, InputError, TheoremViolationError, require_lattice
+from .morphclass import CheckResult, first_factorization
 from .modelstruct import ModelStructure, boundary_objects
 
 
@@ -176,9 +176,8 @@ def is_quillen_pair(
 def _cofibrant_approx_map(ms: ModelStructure, x: int) -> int:
     """Canonical C̃x → x from the first (C, F∩W) factorization of ∅→x."""
     cat = ms.cat
-    pair = first_factorization(
-        cat, point_from_initial(cat, x), ms.C.mask, ms.F.mask & ms.W.mask
-    )
+    po = require_lattice(cat)
+    pair = first_factorization(cat, po.arrow[po.join()][x], ms.C.mask, ms.F.mask & ms.W.mask)
     if pair is None:
         raise InputError("no cofibrant approximation available")
     return pair[1]
@@ -187,9 +186,8 @@ def _cofibrant_approx_map(ms: ModelStructure, x: int) -> int:
 def _fibrant_approx_map(ms: ModelStructure, x: int) -> int:
     """Canonical x → F̃x from the first (C∩W, F) factorization of x→∗."""
     cat = ms.cat
-    pair = first_factorization(
-        cat, point_to_terminal(cat, x), ms.C.mask & ms.W.mask, ms.F.mask
-    )
+    po = require_lattice(cat)
+    pair = first_factorization(cat, po.arrow[x][po.meet()], ms.C.mask & ms.W.mask, ms.F.mask)
     if pair is None:
         raise InputError("no fibrant approximation available")
     return pair[0]

@@ -9,9 +9,16 @@ table and its search must agree on every lattice, in the same order and
 with the same witnesses.  ``_closure_loop`` is the oracle of
 ``closure_check``: frozenset membership over the retract and transfer
 tables and ``FinCat.composable_pairs``, in table order.
+
+The point, fold and diagonal maps below are the generic constructions
+from :func:`colimit` and :func:`limit`: the oracles of the lattice reads
+(``arrow[join()][x]``, ``arrow[join(x, x)][x]`` and their duals) of
+:mod:`modelcat.modelstruct`, :mod:`modelcat.extend` and
+:mod:`modelcat.quillen`.  They answer on any category and raise
+:class:`MissingLimitError` where the (co)limit does not exist.
 """
 
-from modelcat.fincat import FinCat, colimit
+from modelcat.fincat import ConeResult, FinCat, MissingLimitError, colimit, limit
 from modelcat.morphclass import CheckResult, pullback_transfers, pushout_transfers, retract_pairs
 
 
@@ -36,6 +43,40 @@ def _search_unliftable_pairs(cat: FinCat) -> dict[tuple[int, int], tuple[int, in
                 if done:
                     break
     return out
+
+
+def point_from_initial(cat: FinCat, x: int) -> int:
+    """The unique map ∅→x."""
+    r = colimit(cat, ("initial",))
+    if not r.exists:
+        raise MissingLimitError("no initial object")
+    return r.mediators[(x, ())]
+
+
+def point_to_terminal(cat: FinCat, x: int) -> int:
+    """The unique map x→∗."""
+    r = limit(cat, ("terminal",))
+    if not r.exists:
+        raise MissingLimitError("no terminal object")
+    return r.mediators[(x, ())]
+
+
+def fold_map(cat: FinCat, x: int) -> tuple[ConeResult, int]:
+    """The coproduct X⊔X and the fold map X⊔X→X induced by (id, id)."""
+    cp = colimit(cat, ("coproduct", x, x))
+    if not cp.exists:
+        raise MissingLimitError(f"no coproduct {cat.objects[x]}⊔{cat.objects[x]}")
+    i = cat.identities[x]
+    return cp, cp.mediators[(x, (i, i))]
+
+
+def diagonal_map(cat: FinCat, x: int) -> tuple[ConeResult, int]:
+    """The product X×X and the diagonal X→X×X induced by (id, id)."""
+    pr = limit(cat, ("product", x, x))
+    if not pr.exists:
+        raise MissingLimitError(f"no product {cat.objects[x]}×{cat.objects[x]}")
+    i = cat.identities[x]
+    return pr, pr.mediators[(x, (i, i))]
 
 
 def _search_retract_pairs(cat: FinCat) -> tuple:

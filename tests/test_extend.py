@@ -410,6 +410,17 @@ def test_mapping_cylinder_every_map(diamond, diamond_minimal):
         assert mc.j_g in (cand.C_g.members & cand.W_g.members)
 
 
+def test_missing_cylinder_is_a_hypothesis_failure(diamond, diamond_minimal):
+    """With C_g = ∅ no cofibrant object has a cylinder: hypothesis 5 of
+    Thm 1.2 fails, and the mapping cylinder refuses with HypothesisError,
+    as every other engine does on a failed hypothesis."""
+    base = diamond_minimal
+    cand = ExtensionCandidate(base, base.W, MorphClass.empty(diamond), base.F)
+    assert not check_thm12(cand).verdicts["5"].passed
+    with pytest.raises(HypothesisError, match="no cylinder for bot"):
+        mapping_cylinder_factorization(cand, _mid(diamond, "bot_top"))
+
+
 def test_cofibrant_approximation(diamond, diamond_minimal):
     for f in range(len(diamond.morphisms)):
         sq = cofibrant_approximation_square(diamond_minimal, f)

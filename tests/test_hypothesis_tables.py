@@ -3,9 +3,9 @@ closure-based checkers they replaced.
 
 The oracles below build the trivial (co)fibration classes as
 ``MorphClass`` objects, join the descriptions of passing conjunctions with
-``combine``, look the point maps up with ``point_from_initial``, search
-cylinders with ``find_cylinder``, decide lifting from member sets and
-compute ``passed`` from the verdicts.  The tables must give equal reports
+``combine``, look the point maps up with the generic
+``oracles.point_from_initial``, search cylinders with ``find_cylinder``,
+decide lifting from member sets and compute ``passed`` from the verdicts.  The tables must give equal reports
 on every ll and lm candidate over every census base of arrow, chain2 and
 diamond: verdicts, key order, ``passed``, ``first_failure()`` and
 witnesses, with and without ``stop_at_first``.
@@ -28,7 +28,7 @@ from modelcat import (
 )
 from modelcat.census import enumerate_model_structures
 from modelcat.extend import check_properness
-from modelcat.fincat import MissingLimitError, build_category, from_poset, point_from_initial
+from modelcat.fincat import MissingLimitError, build_category, from_poset
 from modelcat.modelstruct import find_cylinder, verify_model_structure
 from modelcat.morphclass import (
     CheckResult,
@@ -37,6 +37,7 @@ from modelcat.morphclass import (
     pushout_transfers,
     unliftable_pairs,
 )
+from oracles import point_from_initial
 
 # -- oracles --------------------------------------------------------------
 

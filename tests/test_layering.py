@@ -1,0 +1,77 @@
+"""The layer boundaries of the library, read from its source with ``ast``.
+
+- Only ``fincat`` searches for (co)limits: every other module reads them
+  from the lattice view (joins and meets of ``require_lattice(cat)``), so
+  none may name :func:`colimit`, :func:`limit` or a deleted search helper.
+  The package root re-exports ``colimit`` and ``limit`` from ``fincat`` as
+  public API, and that import is the one exception.
+- Only ``fincat`` and ``morphclass`` keep caches on ``cat.scratch``.
+"""
+
+import ast
+from pathlib import Path
+
+import modelcat
+from modelcat import fincat
+
+SRC = Path(modelcat.__file__).resolve().parent
+MODULES = sorted(SRC.glob("*.py"))
+
+PUBLIC_SEARCHES = {"colimit", "limit"}
+DELETED = {
+    "pushout", "pullback", "initial_object", "terminal_object",
+    "point_from_initial", "point_to_terminal", "fold_map", "diagonal_map",
+}
+
+
+def _references(path: Path):
+    """(name, line) for every name the module reads, binds, defines or
+    imports, and every attribute it reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                reexport = (
+                    path.name == "__init__.py"
+                    and node.module == "fincat"
+                    and alias.name in PUBLIC_SEARCHES
+                )
+                if not reexport:
+                    yield alias.name, node.lineno
+                    yield alias.asname, node.lineno
+
+
+def _offenders(allowed: set[str], names: set[str]) -> list[str]:
+    return [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        if path.stem not in allowed
+        for name, line in _references(path)
+        if name in names
+    ]
+
+
+def test_the_source_is_read():
+    """The reader sees the searches and caches where they are."""
+    assert {path.stem for path in MODULES} >= {"fincat", "morphclass", "modelstruct", "extend"}
+    assert _offenders(set(), PUBLIC_SEARCHES)  # fincat itself
+    assert _offenders(set(), {"scratch"})
+
+
+def test_only_fincat_searches_for_colimits():
+    assert _offenders({"fincat"}, PUBLIC_SEARCHES | DELETED) == []
+
+
+def test_the_deleted_search_helpers_are_gone():
+    assert [name for name in sorted(DELETED) if hasattr(fincat, name)] == []
+    assert _offenders(set(), DELETED) == []
+
+
+def test_only_fincat_and_morphclass_touch_scratch():
+    assert _offenders({"fincat", "morphclass"}, {"scratch"}) == []

@@ -24,7 +24,7 @@ from modelcat import (
 from modelcat import quillen
 from modelcat.catio import fixture_path, load_adjunction
 from modelcat.modelstruct import minimal_model_structure
-from modelcat.morphclass import TheoremViolationError
+from modelcat.fincat import TheoremViolationError
 from modelcat.quillen import hom_bijection_ok, validate_functor
 
 
@@ -171,7 +171,7 @@ def test_quillen_consistency_check_survives_optimize():
     """Under ``python -O`` asserts vanish; the consistency check must not."""
     script = (
         "from modelcat import load_fixture, is_quillen_pair\n"
-        "from modelcat.morphclass import TheoremViolationError\n"
+        "from modelcat.fincat import TheoremViolationError\n"
         "from test_quillen import _disagreeing_pair\n"
         "print('debug' if __debug__ else 'optimized')\n"
         "try:\n"

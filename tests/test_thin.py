@@ -14,12 +14,12 @@ from modelcat.fincat import (
     InputError,
     Morphism,
     Preorder,
+    TheoremViolationError,
     build_category,
     is_finitely_bicomplete,
     opposite,
 )
 from modelcat.catio import load_fixture
-from modelcat.extend import TheoremViolationError
 from modelcat.morphclass import (
     factor_pairs,
     lifting_blocks,
@@ -343,6 +343,17 @@ def test_preorder_is_none_on_malformed_tables(break_it):
     assert cat.preorder is None
 
 
+@pytest.mark.parametrize("break_it", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_tables_are_reported_not_raised(break_it, chain2):
+    """Validation checks the type and range of every id before it indexes
+    with it, so a malformed table gets a violation, never an exception,
+    and the lattice verdict refuses it as invalid input."""
+    cat = break_it(chain2)
+    assert not fincat.validate_category(cat).ok
+    with pytest.raises(InputError, match="does not validate"):
+        fincat.require_lattice(cat)
+
+
 def test_require_lattice_refusals(retract):
     """The lattice verdict checks validity, then bicompleteness, then
     thinness; a category told it is bicomplete without being thin breaks
@@ -364,14 +375,6 @@ def test_require_lattice_refusals(retract):
 
 
 # -- validation on the preorder view ---------------------------------------
-
-
-def _validation(check, cat):
-    """The report of ``check``, or the error it raised."""
-    try:
-        return check(cat)
-    except Exception as error:  # malformed tables may fail to index
-        return type(error), str(error)
 
 
 def _renamed(cat, objects=None, names=None):
@@ -409,8 +412,8 @@ def test_validation_matches_search():
     malformed tables and thin categories with repeated names."""
     thin = bad_names = 0
     for name, cat in _validation_inputs():
-        got = _validation(fincat.validate_category, cat)
-        assert got == _validation(fincat._search_validate, cat), name
+        got = fincat.validate_category(cat)
+        assert got == fincat._search_validate(cat), name
         thin += cat.preorder is not None
         bad_names += cat.preorder is not None and not got.ok
     assert thin == 2 * len(FIXTURES) - 2 + len(BUILT) + 3
