@@ -6,26 +6,22 @@ factorization systems (C∩W, F) and (C, F∩W) whose composite class
 W = (F∩W)∘(C∩W) satisfies two-out-of-three (Joyal–Tierney, *Quasi-categories
 vs Segal spaces*, Prop. 7.8).  It enumerates the lifting-closed classes
 L = llp(rlp(L)), keeps those whose (L, rlp(L)) factors every map, and pairs
-them up; it must return exactly the naive set.  Every structure either mode
-returns is re-verified by :meth:`ModelStructure.build`.
+them up a row at a time on ``int`` bitmasks.  Both modes return the same
+set, re-verified by :meth:`ModelStructure.build`, and refuse a category
+that is not valid and finitely bicomplete (:func:`require_lattice`).
 
-The census refuses, through :func:`modelcat.fincat.require_lattice`, any
-category that is not valid and finitely bicomplete, and reads the rest
-as their preorder view (a finitely bicomplete finite category is thin).
-The pair loop then works on ``int`` bitmasks only: W's arrows out of each
-object are an OR of R₂'s over the objects L₁ reaches, and two-out-of-three
-is :func:`composition_failure`, a mask test per arrow.  The closure and
-the factorization test read the per-category tables through
-:func:`llp`, :func:`rlp` and :func:`factors_all`, which cache them on the
-category; the per-wfs object masks live for one census.  Re-verification
-shares one :class:`MorphClass` per distinct class; :func:`extension_graph`
-walks no pairs.
+Cached on the category: the tables :func:`llp`, :func:`rlp` and
+:func:`factors_all` read, and the answer to each (left, right) question of
+:func:`has_lifting` and :func:`factors_all`, so re-verification decides
+each wfs once per side.  The per-map wfs bitsets live for one census, and
+the structures share one :class:`MorphClass`, with its closure verdicts,
+per distinct class.  :func:`extension_graph` walks no pairs.
 
 ``candidates_checked`` counts candidate triples in naive mode and pairs of
 weak factorization systems tried in pruned mode.  The budget bounds the
 number of candidate triples in naive mode (refused before the scan starts)
-and the closure steps plus pairs tried in pruned mode (refused as soon as
-the count passes it).
+and the closure steps plus pairs tried in pruned mode (refused at the end
+of the row on which the count passes it).
 """
 
 from __future__ import annotations
@@ -35,9 +31,9 @@ import time
 from dataclasses import dataclass
 
 from .fincat import FinCat, InputError, Preorder, TheoremViolationError, _bits, require_lattice
-from .morphclass import MorphClass, composition_failure, factors_all, llp, rlp
+from .morphclass import MorphClass, factors_all, llp, rlp
 from .modelstruct import ModelStructure, verify_model_structure
-from .extend import ExtensionKind, _extension_kind, classify_extension
+from .extend import _KINDS, ExtensionKind, classify_extension
 
 DEFAULT_BUDGET = 2**20
 
@@ -117,38 +113,41 @@ def _pruned_triples(
 
     W∩L₂ = L₁ and W∩R₁ = R₂ need no test: for f = r∘l ∈ L₂ with l ∈ L₁ and
     r ∈ R₂, f lifts against r, so f is a retract of l and lies in L₁; the R₁
-    side is dual."""
+    side is dual.  A row L₁ tries all L₂ at once as bitmasks over the wfs
+    index j: the L₂ ⊇ L₁ are an AND of ``in_L``, the j whose W holds a→c an
+    OR of ``in_R[b→c]`` over a→b ∈ L₁, and two-out-of-three fails on
+    (x, y, z) = (a→b, b→c, a→c) for the j in z & (x ^ y) | x & y & ~z."""
     wfs, steps = weak_factorization_systems(cat, budget)
-    # per wfs: the objects L reaches from each object, R's arrows out of each object
-    sides = []
-    for L, R in wfs:
-        L_to = [[] for _ in thin.up]
-        R_out = [0] * len(thin.up)
-        for a, b, f in thin.arrows:
-            if L >> f & 1:
-                L_to[a].append(b)
-            if R >> f & 1:
-                R_out[a] |= 1 << b
-        sides.append((L, R, L_to, R_out))
-    found = []
-    pairs = 0
-    for L1, R1, L1_to, _ in sides:
-        for L2, R2, _, R2_out in sides:
-            if L1 & ~L2:
-                continue
-            pairs += 1
-            if steps + pairs > budget:
-                raise BudgetExceeded(f"census exceeds the budget of {budget} steps")
-            # a→c ∈ W iff a→b ∈ L₁ and b→c ∈ R₂ for some b
-            W_out = []
-            for targets in L1_to:
-                reach = 0
-                for b in targets:
-                    reach |= R2_out[b]
-                W_out.append(reach)
-            if composition_failure(thin, W_out, True) is None:
-                W = sum(1 << f for a, c, f in thin.arrows if W_out[a] >> c & 1)
-                found.append((W, L2, R1))
+    maps = range(len(cat.morphisms))
+    # per map f, the j with f ∈ L_j and the j with f ∈ R_j
+    in_L = [sum(1 << j for j, (L, _) in enumerate(wfs) if L >> f & 1) for f in maps]
+    in_R = [sum(1 << j for j, (_, R) in enumerate(wfs) if R >> f & 1) for f in maps]
+    arrow, up = thin.arrow, thin.up
+    # per map a→b, (a→c, in_R[b→c]) for every c ≥ b
+    onward = [[(arrow[a][c], in_R[arrow[b][c]]) for c in _bits(up[b])] for a, b in thin.ends]
+    # the triples with a ≠ b ≠ c: the others hold an identity, and W holds every identity
+    triples = [
+        (arrow[a][b], arrow[b][c], arrow[a][c])
+        for a, b, _ in thin.arrows if a != b for c in _bits(up[b]) if c != b
+    ]
+    found, pairs = [], 0
+    for L1, R1 in wfs:
+        row = [f for f in maps if L1 >> f & 1]
+        cand = (1 << len(wfs)) - 1
+        for f in row:
+            cand &= in_L[f]
+        pairs += cand.bit_count()
+        if steps + pairs > budget:
+            raise BudgetExceeded(f"census exceeds the budget of {budget} steps")
+        W = [0] * len(maps)  # per map, the j whose W = R_j∘L₁ holds it
+        for ab in row:
+            for ac, held in onward[ab]:
+                W[ac] |= held
+        for x, y, z in triples:
+            x, y, z = W[x], W[y], W[z]
+            cand &= ~(z & (x ^ y) | x & y & ~z)
+        for j in _bits(cand):
+            found.append((sum(1 << f for f in maps if W[f] >> j & 1), wfs[j][0], R1))
     members = {m: frozenset(_bits(m)) for m in set(itertools.chain(*found))}
     return [tuple(members[m] for m in t) for t in found], pairs
 
@@ -238,9 +237,8 @@ class ExtensionGraph:
     @property
     def minimal_index(self) -> int:
         for i, ms in enumerate(self.nodes):
-            if ms.W.members == ms.cat.iso_set and len(ms.C.members) == len(
-                ms.cat.morphisms
-            ) == len(ms.F.members):
+            everything = (1 << len(ms.cat.morphisms)) - 1
+            if ms.W.members == ms.cat.iso_set and ms.C.mask == ms.F.mask == everything:
                 return i
         raise InputError("census does not contain the minimal structure")
 
@@ -273,22 +271,25 @@ def extension_graph(census: CensusResult) -> ExtensionGraph:
     of census structures that :func:`classify_extension` does not call
     ``other``, with its kind and flags.  No pair is walked: per node, the
     nodes whose W, C, F contain (up) or lie inside (in) its own give the
-    partners W_up & (C_up | C_in) & (F_up | F_in), and each edge's kind
-    from the same masks.  The minimal structure must reach every node
-    through an ll edge; otherwise :class:`TheoremViolationError` is raised."""
+    partners W_up & (C_up | C_in) & (F_up | F_in), and each edge's kind is
+    one lookup in the table of kinds by the six containments (W_up = 1).
+    The minimal structure must reach every node through an ll edge;
+    otherwise :class:`TheoremViolationError` is raised."""
     nodes, n_maps = census.structures, len(census.cat.morphisms)
     W, C, F = (_containments([getattr(ms, X).mask for ms in nodes], n_maps) for X in "WCF")
+    mi = ExtensionGraph(census, nodes, ()).minimal_index
     edges = []
     for i, ((W_up, W_in), (C_up, C_in), (F_up, F_in)) in enumerate(zip(W, C, F)):
-        for j in _bits(W_up & (C_up | C_in) & (F_up | F_in) & ~(1 << i)):
-            edges.append((i, j, _extension_kind(
-                1, W_in >> j & 1, C_up >> j & 1, C_in >> j & 1, F_up >> j & 1, F_in >> j & 1
-            )))
-    graph = ExtensionGraph(census, nodes, tuple(edges))
-    mi = graph.minimal_index
-    reachable = {j for i, j, k in edges if i == mi and k.kind == "ll"}
-    if reachable != set(range(len(nodes))) - {mi}:
-        raise TheoremViolationError(
-            "minimal structure does not ll-reach every census structure"
-        )
-    return graph
+        partners = W_up & (C_up | C_in) & (F_up | F_in) & ~(1 << i)
+        if i == mi:  # ll: W grows, C and F shrink, not all three equal
+            ll = partners & C_in & F_in & ~(W_in & C_up & F_up)
+        while partners:
+            low = partners & -partners
+            partners ^= low
+            edges.append((i, low.bit_length() - 1, _KINDS[
+                32 | bool(W_in & low) << 4 | bool(C_up & low) << 3 | bool(C_in & low) << 2
+                | bool(F_up & low) << 1 | bool(F_in & low)
+            ]))
+    if ll != (1 << len(nodes)) - 1 & ~(1 << mi):
+        raise TheoremViolationError("minimal structure does not ll-reach every census structure")
+    return ExtensionGraph(census, nodes, tuple(edges))

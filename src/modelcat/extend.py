@@ -26,7 +26,6 @@ raised as :class:`TheoremViolationError` rather than swallowed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 from .fincat import FinCat, InputError, TheoremViolationError, require_lattice
 from .morphclass import (
@@ -550,15 +549,15 @@ def classify_extension(base: ModelStructure, ext: ModelStructure) -> ExtensionKi
         raise InputError("structures live over different categories")
     W, C, F = base.W.mask, base.C.mask, base.F.mask
     Wg, Cg, Fg = ext.W.mask, ext.C.mask, ext.F.mask
-    return _extension_kind(
-        not W & ~Wg, not Wg & ~W, not C & ~Cg, not Cg & ~C, not F & ~Fg, not Fg & ~F
-    )
+    return _KINDS[
+        (not W & ~Wg) << 5 | (not Wg & ~W) << 4 | (not C & ~Cg) << 3
+        | (not Cg & ~C) << 2 | (not F & ~Fg) << 1 | (not Fg & ~F)
+    ]
 
 
-@cache
 def _extension_kind(W_up, W_in, C_up, C_in, F_up, F_in) -> ExtensionKind:
     """The kind and flags from the containments X_up (base X ⊆ extension X)
-    and X_in (the reverse); one shared instance per distinct value."""
+    and X_in (the reverse)."""
     if W_up and W_in and C_up and C_in and F_up and F_in:
         kind = "equal"
     elif W_up and C_in and (F_in or F_up):
@@ -569,6 +568,11 @@ def _extension_kind(W_up, W_in, C_up, C_in, F_up, F_in) -> ExtensionKind:
         kind = "other"
     ll = kind in ("equal", "ll")
     return ExtensionKind(kind, ll and bool(C_up), ll and bool(F_up), bool(W_up) and not W_in)
+
+
+# one shared kind per value of the six containments, as the index bits
+# W_up W_in C_up C_in F_up F_in from high to low
+_KINDS = tuple(_extension_kind(*(k >> b & 1 for b in range(5, -1, -1))) for k in range(64))
 
 
 def check_invariance(sub: MorphClass, super_: MorphClass, W: MorphClass) -> CheckResult:

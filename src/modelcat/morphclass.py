@@ -29,12 +29,13 @@ first failure, with the pass flag computed in the same walk.
 
 Each result is cached on the immutable object it describes, so a cache
 lives exactly as long as what its caller keeps: the per-category tables
-on ``cat.scratch``; closure verdicts (``MorphClass.verdicts``, so their
-witnesses are read-only mappings), the members as a bitmask
+and, per (left, right) pair, the :func:`has_lifting` verdict and the
+:func:`factors_all` witness on ``cat.scratch``; closure verdicts
+(``MorphClass.verdicts``) and the members as a bitmask
 (``MorphClass.mask``) and as a class of the opposite category
-(``MorphClass.opposite``, read by :func:`modelcat.extend.check_thm15`) on
-the class; cofibrant and fibrant objects and the verified opposite
-structure on the structure (:mod:`modelcat.modelstruct`).
+(``MorphClass.opposite``) on the class; cofibrant and fibrant objects and
+the verified opposite structure on the structure
+(:mod:`modelcat.modelstruct`).  Cached witnesses are read-only.
 
 Every table is a closed form on the lattice view
 (:func:`modelcat.fincat.require_lattice`) and refuses any category that
@@ -56,7 +57,6 @@ from .fincat import (
     InputError,
     Preorder,
     _bits,
-    opposite,
     require_lattice,
 )
 
@@ -92,7 +92,8 @@ class MorphClass:
     def opposite(self) -> "MorphClass":
         """The same members as a class of ``opposite(cat)``, built once, so
         its closure verdicts are shared by every reader."""
-        return MorphClass(opposite(self.cat), self.members)  # fincat.opposite
+        from .fincat import opposite  # the one opposite category this module builds
+        return MorphClass(opposite(self.cat), self.members)
 
     # -- constructors ---------------------------------------------------
 
@@ -287,10 +288,18 @@ def pushout_transfers(cat: FinCat) -> tuple[tuple[int, int, int], ...]:
 
 def pullback_transfers(cat: FinCat) -> tuple[tuple[int, int, int], ...]:
     """Dual of :func:`pushout_transfers`: (f, g, f') with f' the base
-    change of f along g, over every cospan."""
+    change of f along g, over every cospan (f, g), in (f, g) order.  On a
+    preorder f' is meet(src f, src g) → src g."""
     cache = cat.scratch
     if "pullback_transfers" not in cache:
-        cache["pullback_transfers"] = pushout_transfers(opposite(cat))
+        po = require_lattice(cat)
+        into = [[] for _ in po.up]  # per object, (g, src g) for the maps into it
+        for g, (y, b) in enumerate(po.ends):
+            into[b].append((g, y))
+        cache["pullback_transfers"] = tuple(
+            (f, g, po.arrow[po.meet(x, y)][y])
+            for f, (x, b) in enumerate(po.ends) for g, y in into[b]
+        )
     return cache["pullback_transfers"]
 
 
@@ -359,7 +368,15 @@ def has_lifting(cat: FinCat, left: int, right: int) -> CheckResult:
     the two classes given as bitmasks over morphism ids.
 
     The witness is the least i, then the least p, with an unliftable
-    square, and that pair's least (top, bottom)."""
+    square, and that pair's least (top, bottom).  Decided once per (left,
+    right) and kept on ``cat.scratch``."""
+    cache = cat.scratch.setdefault("lifting_verdicts", {})
+    if (left, right) not in cache:
+        cache[left, right] = _lifting_verdict(cat, left, right)
+    return cache[left, right]
+
+
+def _lifting_verdict(cat: FinCat, left: int, right: int) -> CheckResult:
     blocks = lifting_blocks(cat)
     for i in _bits(left):
         hit = blocks[i] & right
@@ -523,9 +540,18 @@ def composition_failure(
 def factors_all(cat: FinCat, left: int, right: int, description: str) -> CheckResult:
     """Pass iff every morphism factors as p∘j with j in ``left`` and p in
     ``right``, both bitmasks over morphism ids; on failure the least
-    morphism that does not factor is the witness ``f``.  On a preorder
-    f: a→b factors iff (objects m with a→m in left) & (objects m with m→b
-    in right) is not empty."""
+    morphism that does not factor is the witness ``f``.  The witness is
+    decided once per (left, right) and kept on ``cat.scratch``."""
+    cache = cat.scratch.setdefault("unfactored", {})
+    if (left, right) not in cache:
+        cache[left, right] = _least_unfactored(cat, left, right)
+    f = cache[left, right]
+    return CheckResult.ok("factorization") if f is None else CheckResult.fail(description, f=f)
+
+
+def _least_unfactored(cat: FinCat, left: int, right: int) -> int | None:
+    """On a preorder f: a→b factors iff (objects m with a→m in left) &
+    (objects m with m→b in right) is not empty."""
     po = require_lattice(cat)
     left_out, right_in = [0] * len(po.up), [0] * len(po.up)
     for a, b, f in po.arrows:
@@ -533,7 +559,4 @@ def factors_all(cat: FinCat, left: int, right: int, description: str) -> CheckRe
             left_out[a] |= 1 << b
         if right >> f & 1:
             right_in[b] |= 1 << a
-    missing = [f for a, b, f in po.arrows if not left_out[a] & right_in[b]]
-    if missing:
-        return CheckResult.fail(description, f=min(missing))
-    return CheckResult.ok("factorization")
+    return min((f for a, b, f in po.arrows if not left_out[a] & right_in[b]), default=None)

@@ -10,6 +10,13 @@ with the same witnesses.  ``_closure_loop`` is the oracle of
 ``closure_check``: frozenset membership over the retract and transfer
 tables and ``FinCat.composable_pairs``, in table order.
 
+``_pair_loop_triples`` is the census pair loop the bit-sliced pairing
+replaced: one pair of weak factorization systems at a time, two-out-of-three
+by :func:`composition_failure` on W's out-masks.  ``_opposite_pullbacks`` is
+the base-change table as the pushout table of the opposite category, and
+``_walked_functor_issues`` validates a functor by walking every composable
+pair, as ``validate_functor`` does on a category that is not thin.
+
 The point, fold and diagonal maps below are the generic constructions
 from :func:`colimit` and :func:`limit`: the oracles of the lattice reads
 (``arrow[join()][x]``, ``arrow[join(x, x)][x]`` and their duals) of
@@ -18,8 +25,26 @@ from :func:`colimit` and :func:`limit`: the oracles of the lattice reads
 :class:`MissingLimitError` where the (co)limit does not exist.
 """
 
-from modelcat.fincat import ConeResult, FinCat, MissingLimitError, colimit, limit
-from modelcat.morphclass import CheckResult, pullback_transfers, pushout_transfers, retract_pairs
+import itertools
+
+from modelcat.census import BudgetExceeded, weak_factorization_systems
+from modelcat.fincat import (
+    ConeResult,
+    FinCat,
+    MissingLimitError,
+    _bits,
+    colimit,
+    limit,
+    opposite,
+    require_lattice,
+)
+from modelcat.morphclass import (
+    CheckResult,
+    composition_failure,
+    pullback_transfers,
+    pushout_transfers,
+    retract_pairs,
+)
 
 
 def _search_unliftable_pairs(cat: FinCat) -> dict[tuple[int, int], tuple[int, int]]:
@@ -166,3 +191,68 @@ def _closure_loop(cls, property):
         if f in mem and fp not in mem:
             return CheckResult.fail(f"not closed under {property}", f=f, along=g, transfer=fp)
     return CheckResult.ok(property)
+
+
+def _pair_loop_triples(cat: FinCat, budget: int):
+    """Oracle for ``census._pruned_triples``: every pair (L₁, R₁), (L₂, R₂)
+    with L₁ ⊆ L₂ in wfs order, W's arrows out of each object as an OR of
+    R₂'s over the objects L₁ reaches, and two-out-of-three by
+    :func:`composition_failure`; the budget is tested per pair."""
+    thin = require_lattice(cat)
+    wfs, steps = weak_factorization_systems(cat, budget)
+    sides = []
+    for L, R in wfs:
+        L_to = [[] for _ in thin.up]
+        R_out = [0] * len(thin.up)
+        for a, b, f in thin.arrows:
+            if L >> f & 1:
+                L_to[a].append(b)
+            if R >> f & 1:
+                R_out[a] |= 1 << b
+        sides.append((L, R, L_to, R_out))
+    found = []
+    pairs = 0
+    for L1, R1, L1_to, _ in sides:
+        for L2, R2, _, R2_out in sides:
+            if L1 & ~L2:
+                continue
+            pairs += 1
+            if steps + pairs > budget:
+                raise BudgetExceeded(f"census exceeds the budget of {budget} steps")
+            W_out = []
+            for targets in L1_to:
+                reach = 0
+                for b in targets:
+                    reach |= R2_out[b]
+                W_out.append(reach)
+            if composition_failure(thin, W_out, True) is None:
+                W = sum(1 << f for a, c, f in thin.arrows if W_out[a] >> c & 1)
+                found.append((W, L2, R1))
+    members = {m: frozenset(_bits(m)) for m in set(itertools.chain(*found))}
+    return [tuple(members[m] for m in t) for t in found], pairs
+
+
+def _opposite_pullbacks(cat: FinCat) -> tuple[tuple[int, int, int], ...]:
+    """Oracle for ``pullback_transfers``: the pushout transfers of the
+    opposite category."""
+    return pushout_transfers(opposite(cat))
+
+
+def _walked_functor_issues(fun) -> list[str]:
+    """Oracle for ``quillen.validate_functor``: endpoints, identities and
+    every composable pair of the source, whatever the categories."""
+    src, tgt = fun.source, fun.target
+    if len(fun.obj_map) != len(src.objects) or len(fun.mor_map) != len(src.morphisms):
+        return ["object/morphism map has wrong length"]
+    issues = []
+    for f, m in enumerate(src.morphisms):
+        fm = fun.mor_map[f]
+        if tgt.src(fm) != fun.obj_map[m.src] or tgt.tgt(fm) != fun.obj_map[m.tgt]:
+            issues.append(f"image of {src.name(f)} has wrong endpoints")
+    for x in range(len(src.objects)):
+        if fun.mor_map[src.identities[x]] != tgt.identities[fun.obj_map[x]]:
+            issues.append(f"identity of {src.objects[x]} not preserved")
+    for f, g, gf in src.composable_pairs:
+        if tgt.table[fun.mor_map[g]][fun.mor_map[f]] != fun.mor_map[gf]:
+            issues.append(f"composition {src.name(g)}∘{src.name(f)} not preserved")
+    return issues

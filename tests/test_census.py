@@ -32,7 +32,7 @@ from modelcat.morphclass import (
     composition_failure,
     factor_pairs,
 )
-from oracles import _closure_loop
+from oracles import _closure_loop, _pair_loop_triples
 
 
 def _chain(n):
@@ -390,6 +390,36 @@ def test_pruned_triples_match_frozenset_loop(name, request):
     cat = _category(name, request)
     got = census_mod._pruned_triples(cat, require_lattice(cat), DEFAULT_BUDGET)
     assert got == _pruned_triples_loop(cat)
+
+
+PAIRING_INPUTS = [
+    "pt", "arrow", "chain2", "diamond", "bool3",
+    *(f"[{n}]" for n in range(7)), "[1]x[2]", "[1]x[3]", "[2]x[2]",
+]
+
+
+@pytest.mark.parametrize("name", PAIRING_INPUTS)
+def test_bit_sliced_pairing_matches_the_pair_loop(name, request):
+    """The rows of the bit-sliced pairing give the pair loop's triples, in
+    its order, and its number of pairs tried."""
+    cat = _category(name, request)
+    got = census_mod._pruned_triples(cat, require_lattice(cat), 2**30)
+    assert got == _pair_loop_triples(cat, 2**30)
+
+
+@pytest.mark.parametrize("name", ["diamond", "[3]", "[1]x[2]"])
+def test_bit_sliced_pairing_keeps_the_budget(name, request):
+    """Testing the budget once per row refuses exactly the budgets the
+    per-pair test refuses: those below closure steps plus pairs tried."""
+    cat = _category(name, request)
+    _, steps = weak_factorization_systems(cat)
+    _, pairs = _pair_loop_triples(cat, 2**30)
+    for budget in (steps + pairs - 1, steps + 1, steps + pairs // 2):
+        with pytest.raises(BudgetExceeded):
+            census_mod._pruned_triples(cat, require_lattice(cat), budget)
+        with pytest.raises(BudgetExceeded):
+            _pair_loop_triples(cat, budget)
+    assert census_mod._pruned_triples(cat, require_lattice(cat), steps + pairs)[1] == pairs
 
 
 @pytest.mark.parametrize("name", ["[4]", "diamond", "[1]x[2]"])

@@ -6,6 +6,8 @@
   The package root re-exports ``colimit`` and ``limit`` from ``fincat`` as
   public API, and that import is the one exception.
 - Only ``fincat`` and ``morphclass`` keep caches on ``cat.scratch``.
+- ``morphclass`` builds an opposite category only for
+  ``MorphClass.opposite``: its transfer tables are joins and meets.
 """
 
 import ast
@@ -75,3 +77,18 @@ def test_the_deleted_search_helpers_are_gone():
 
 def test_only_fincat_and_morphclass_touch_scratch():
     assert _offenders({"fincat", "morphclass"}, {"scratch"}) == []
+
+
+def test_morphclass_builds_opposites_only_for_the_opposite_class():
+    path = SRC / "morphclass.py"
+    morphclass = next(
+        node for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "MorphClass"
+    )
+    method = next(
+        node for node in morphclass.body
+        if isinstance(node, ast.FunctionDef) and node.name == "opposite"
+    )
+    lines = [line for name, line in _references(path) if name == "opposite"]
+    assert method.lineno in lines and len(lines) > 1
+    assert [line for line in lines if not method.lineno <= line <= method.end_lineno] == []

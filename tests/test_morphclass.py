@@ -25,6 +25,8 @@ from modelcat.modelstruct import ModelStructure
 from modelcat.morphclass import (
     CheckResult,
     _closure_verdict,
+    _least_unfactored,
+    _lifting_verdict,
     factor_pairs,
     factorizations,
     factors_all,
@@ -408,6 +410,85 @@ def test_witness_is_read_only(chain2):
     assert closure_check(cls, "two_of_three").witness == {
         "f": f, "g": g, "composite": _mid(chain2, "gf")
     }
+
+
+# -- cached lifting and factoring verdicts --------------------------------
+
+DESCRIPTIONS = ("no factorization", "morphism admits no factorization")
+
+
+def _uncached_factors_all(cat, left, right, description):
+    """``factors_all`` from its uncached body."""
+    f = _least_unfactored(cat, left, right)
+    return CheckResult.ok("factorization") if f is None else CheckResult.fail(description, f=f)
+
+
+@pytest.mark.parametrize("census", ["diamond_census", "bool3_census"])
+def test_cached_mask_verdicts_match_uncached_on_census(request, census):
+    """The lifting and factorization questions of every census structure,
+    (C∩W, F) and (C, W∩F), read from the cache the census filled, are
+    answered as the uncached bodies answer them."""
+    structures = request.getfixturevalue(census).structures
+    cat = structures[0].cat
+    for ms in structures:
+        W, C, F = ms.W.mask, ms.C.mask, ms.F.mask
+        for left, right in ((C & W, F), (C, W & F)):
+            assert has_lifting(cat, left, right) == _lifting_verdict(cat, left, right)
+            for description in DESCRIPTIONS:
+                got = factors_all(cat, left, right, description)
+                assert got == _uncached_factors_all(cat, left, right, description)
+
+
+def test_cached_mask_verdicts_match_uncached(diamond):
+    """On 4,000 seeded random pairs of masks, the first call, which
+    decides, and the second, which reads the cache, both give the uncached
+    body's verdict, description and witness; a factorization failure keeps
+    the description of the call that reads it."""
+    cat = dataclasses.replace(diamond)  # a fresh copy: empty caches
+    rng, n = random.Random(17), len(cat.morphisms)
+    failures = 0
+    for _ in range(4000):
+        left, right = rng.getrandbits(n), rng.getrandbits(n)
+        lift = has_lifting(cat, left, right)
+        assert lift == _lifting_verdict(cat, left, right)
+        assert has_lifting(cat, left, right) is lift
+        for description in DESCRIPTIONS:
+            factored = factors_all(cat, left, right, description)
+            assert factored == _uncached_factors_all(cat, left, right, description)
+        failures += (not lift.passed) + (not factored.passed)
+    assert 0 < failures < 8000
+
+
+def test_cached_mask_witnesses_are_read_only(diamond):
+    """A cached verdict is shared by every later caller, so neither it nor
+    its witness can be changed."""
+    cat = dataclasses.replace(diamond)
+    everything = (1 << len(cat.morphisms)) - 1
+    verdicts = [
+        has_lifting(cat, everything, everything),
+        factors_all(cat, 0, 0, DESCRIPTIONS[0]),  # nothing factors through no maps
+    ]
+    verdicts += [has_lifting(cat, everything, everything), factors_all(cat, 0, 0, DESCRIPTIONS[1])]
+    for verdict in verdicts:
+        assert not verdict.passed
+        with pytest.raises(TypeError):
+            verdict.witness["f"] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.passed = True
+    assert verdicts[2] == _lifting_verdict(cat, everything, everything)
+    assert verdicts[3] == _uncached_factors_all(cat, 0, 0, DESCRIPTIONS[1])
+
+
+def test_mask_verdicts_refuse_a_non_lattice_every_time(retract):
+    """A category that is not finitely bicomplete is refused on the first
+    call, and no verdict is kept, so every later call is refused too."""
+    cat = dataclasses.replace(retract)
+    for _ in range(2):
+        with pytest.raises(InputError, match="finitely bicomplete"):
+            has_lifting(cat, 1, 1)
+        with pytest.raises(InputError, match="finitely bicomplete"):
+            factors_all(cat, 1, 1, DESCRIPTIONS[0])
+    assert not cat.scratch.get("lifting_verdicts") and not cat.scratch.get("unfactored")
 
 
 # -- factorizations -----------------------------------------------------

@@ -1,6 +1,8 @@
 """Functor/adjunction validation and Quillen pair/equivalence checks."""
 
+import itertools
 import os
+import random
 import re
 import subprocess
 import sys
@@ -22,10 +24,11 @@ from modelcat import (
     validate_adjunction,
 )
 from modelcat import quillen
-from modelcat.catio import fixture_path, load_adjunction
+from modelcat.catio import fixture_path, load_adjunction, load_fixture
 from modelcat.modelstruct import minimal_model_structure
 from modelcat.fincat import TheoremViolationError
 from modelcat.quillen import hom_bijection_ok, validate_functor
+from oracles import _walked_functor_issues
 
 
 def test_identity_functor_validates(diamond):
@@ -38,6 +41,69 @@ def test_broken_functor(diamond, arrow):
     assert validate_functor(bad) != []
     short = Functor(diamond, diamond, (0,), (0,))
     assert validate_functor(short) == ["object/morphism map has wrong length"]
+
+
+def _lattice(*lengths):
+    """The product of chains [l1] × [l2] × ..., elements named by digits."""
+    points = ["".join(map(str, p)) for p in itertools.product(*(range(n + 1) for n in lengths))]
+    return modelcat.from_poset(points, lambda a, b: all(x <= y for x, y in zip(a, b)))
+
+
+# the lattices whose identity adjunctions the cli-batch benchmark checks
+BATCH_LATTICES = [
+    *((n,) for n in range(3, 9)), (1, 2), (2, 2), (1, 3), (2, 3), (1, 1, 1), (1, 1, 1, 1),
+]
+
+
+def _broken(fun, rng):
+    """``fun`` with a few seeded object and morphism images replaced."""
+    obj_map, mor_map = list(fun.obj_map), list(fun.mor_map)
+    for _ in range(rng.randrange(3)):
+        obj_map[rng.randrange(len(obj_map))] = rng.randrange(len(fun.target.objects))
+    for _ in range(rng.randrange(1, 4)):
+        mor_map[rng.randrange(len(mor_map))] = rng.randrange(len(fun.target.morphisms))
+    return Functor(fun.source, fun.target, tuple(obj_map), tuple(mor_map))
+
+
+@pytest.mark.parametrize("lengths", BATCH_LATTICES, ids=str)
+def test_thin_functor_issues_match_the_walk(lengths):
+    """Between thin categories the composable pairs are not walked, and the
+    issue lists stay those of the walk: empty for the identity adjunction,
+    endpoint and identity issues for seeded broken functors."""
+    cat = _lattice(*lengths)
+    identity = Functor.identity(cat)
+    assert validate_functor(identity) == _walked_functor_issues(identity) == []
+    assert validate_adjunction(Adjunction.identity(cat)) == []
+    rng, broken = random.Random(len(cat.morphisms)), 0
+    for _ in range(20):
+        fun = _broken(identity, rng)
+        assert validate_functor(fun) == _walked_functor_issues(fun)
+        broken += validate_functor(fun) != []
+    assert broken > 10
+
+
+def test_non_thin_target_still_walks_the_composable_pairs(retract):
+    """Into retract.cat, whose B has two endomorphisms, a functor can keep
+    every endpoint and identity and still break composition: with e ↦ id_B
+    the image of e = s∘r is id_B, but the composite of the images is e."""
+    mid = {m.name: i for i, m in enumerate(retract.morphisms)}
+    identity = Functor.identity(retract)
+    assert validate_functor(identity) == _walked_functor_issues(identity) == []
+    mor_map = list(identity.mor_map)
+    mor_map[mid["e"]] = retract.identities[1]
+    fun = Functor(retract, retract, identity.obj_map, tuple(mor_map))
+    issues = validate_functor(fun)
+    assert issues == _walked_functor_issues(fun)
+    assert "composition s∘r not preserved" in issues
+    assert all(issue.startswith("composition") for issue in issues)
+    rng = random.Random(3)
+    for _ in range(50):
+        fun = _broken(identity, rng)
+        assert validate_functor(fun) == _walked_functor_issues(fun)
+    diamond = load_fixture("diamond.cat")  # a thin source into a non-thin target
+    const = Functor(diamond, retract, (1,) * len(diamond.objects), (mid["e"],) * len(diamond.morphisms))
+    assert validate_functor(const) == _walked_functor_issues(const)
+    assert validate_functor(const)[0].startswith("identity")
 
 
 def test_identity_adjunction(diamond):

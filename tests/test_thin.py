@@ -29,6 +29,7 @@ from modelcat.morphclass import (
     unliftable_pairs,
 )
 from oracles import (
+    _opposite_pullbacks,
     _search_factor_pairs,
     _search_pushout_transfers,
     _search_retract_pairs,
@@ -193,6 +194,34 @@ def test_relabelled_isomorphs_match_search(name):
     for obj_order in itertools.permutations(range(len(cat.objects))):
         for mor_order in (range(n), range(n - 1, -1, -1)):
             _assert_tables_match_search(_relabel(cat, obj_order, list(mor_order)))
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "bool4", "[2]x[3]", "iso+top"])
+def test_pullbacks_are_the_opposite_pushouts(name):
+    """Base change as one meet per cospan gives the pushout table of the
+    opposite category, in the same order, on every fixture, bool4, [2]×[3]
+    and every object order of a ≅ b ≤ t, where the least-index meet must be
+    the apex the opposite join picks; both refuse a category that is not
+    finitely bicomplete."""
+    if name in BUILT:
+        cat = BUILT[name]()
+    else:
+        cat = load_fixture(f"{name}.cat")
+    if name == "retract":
+        for table in (pullback_transfers, _opposite_pullbacks):
+            with pytest.raises(InputError, match="finitely bicomplete"):
+                table(dataclasses.replace(cat))
+        return
+    cats = [cat]
+    if name == "iso+top":
+        n = len(cat.morphisms)
+        cats = [
+            _relabel(cat, obj_order, mor_order)
+            for obj_order in itertools.permutations(range(len(cat.objects)))
+            for mor_order in (list(range(n)), list(range(n - 1, -1, -1)))
+        ]
+    for cat in cats:
+        assert pullback_transfers(cat) == _opposite_pullbacks(cat)
 
 
 def test_non_lattices_have_gaps_and_isomorphs_have_retracts():
