@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fincat import FinCat, InputError, TheoremViolationError, require_lattice
+from .fincat import FinCat, InputError, Preorder, TheoremViolationError, _bits, require_lattice
 from .morphclass import (
     CheckResult,
     Factorization,
@@ -578,45 +578,48 @@ _KINDS = tuple(_extension_kind(*(k >> b & 1 for b in range(5, -1, -1))) for k in
 def check_invariance(sub: MorphClass, super_: MorphClass, W: MorphClass) -> CheckResult:
     """sub is invariant inside super under W: along any commuting square
     whose horizontal legs are in W, membership of the vertical legs in sub
-    agrees."""
-    cat = sub.cat
+    agrees.  On a lattice every square commutes, and its horizontal legs
+    are the one arrow between the sources and the one between the targets."""
+    po = require_lattice(sub.cat)
     if not (sub.members <= super_.members):
         raise HypothesisError("need sub ⊆ super")
+    arrow, ends = po.arrow, po.ends
     for f in sorted(super_.members):
         for g in sorted(super_.members):
-            for u in cat.hom(cat.src(f), cat.src(g)):
-                if u not in W.members:
-                    continue
-                for v in cat.hom(cat.tgt(f), cat.tgt(g)):
-                    if v not in W.members:
-                        continue
-                    if cat.table[g][u] != cat.table[v][f]:
-                        continue
-                    if (f in sub.members) != (g in sub.members):
-                        return CheckResult.fail(
-                            "membership not invariant", f=f, g=g, u=u, v=v
-                        )
+            u, v = arrow[ends[f][0]][ends[g][0]], arrow[ends[f][1]][ends[g][1]]
+            if u in W.members and v in W.members and (f in sub.members) != (g in sub.members):
+                return CheckResult.fail("membership not invariant", f=f, g=g, u=u, v=v)
     return CheckResult.ok("invariant")
+
+
+def _least_triangle(po: Preorder, first: int, second: int, composite: int):
+    """The least (x, y, y∘x), in ``FinCat.composable_pairs`` order, with x in
+    ``first``, y in ``second`` and y∘x in ``composite`` (bitmasks over
+    morphism ids); None if there is none.  For x: a→b the y: b→c that
+    qualify are the c in (second out of b) & (composite out of a); y is the
+    least id among them, as in :func:`composition_failure`."""
+    second_out, composite_out = [0] * len(po.up), [0] * len(po.up)
+    for a, b, f in po.arrows:
+        if second >> f & 1:
+            second_out[a] |= 1 << b
+        if composite >> f & 1:
+            composite_out[a] |= 1 << b
+    arrow, ends = po.arrow, po.ends
+    for x, (a, b) in enumerate(ends):
+        if first >> x & 1 and (bad := second_out[b] & composite_out[a]):
+            y = min(arrow[b][c] for c in _bits(bad))
+            return x, y, arrow[a][ends[y][1]]
+    return None
 
 
 def check_fibration_transfer(base: ModelStructure, ext: ModelStructure) -> CheckResult:
     """Over an extension pair: in any triangle g∘h = f with f ∈ F, g ∈ F_g
     and h ∈ W, the map f is already in F_g; dual statement for cofibrations."""
-    cat = base.cat
-    for h, g, f in cat.composable_pairs:
-        if (
-            f in base.F.members
-            and g in ext.F.members
-            and h in base.W.members
-            and f not in ext.F.members
-        ):
-            return CheckResult.fail("fibration transfer fails", f=f, g=g, h=h)
-    for f, h, g in cat.composable_pairs:
-        if (
-            f in ext.C.members
-            and g in base.C.members
-            and h in base.W.members
-            and g not in ext.C.members
-        ):
-            return CheckResult.fail("cofibration transfer fails", f=f, g=g, h=h)
+    po, W = require_lattice(base.cat), base.W.mask
+    if hit := _least_triangle(po, W, ext.F.mask, base.F.mask & ~ext.F.mask):
+        h, g, f = hit
+        return CheckResult.fail("fibration transfer fails", f=f, g=g, h=h)
+    if hit := _least_triangle(po, ext.C.mask, W, base.C.mask & ~ext.C.mask):
+        f, h, g = hit
+        return CheckResult.fail("cofibration transfer fails", f=f, g=g, h=h)
     return CheckResult.ok("transfer")

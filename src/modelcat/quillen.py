@@ -121,24 +121,6 @@ def validate_adjunction(adj: Adjunction) -> list[str]:
     return issues
 
 
-def hom_bijection_ok(adj: Adjunction) -> bool:
-    """Do f ↦ T(f)∘η and g ↦ ε∘S(g) invert each other on every hom pair?"""
-    M, N = adj.S.source, adj.S.target
-    ok = True
-    for a in range(len(M.objects)):
-        for x in range(len(N.objects)):
-            sa, tx = adj.S.on_obj(a), adj.T.on_obj(x)
-            for f in N.hom(sa, x):
-                g = M.comp(adj.T.on_mor(f), adj.unit[a])
-                back = N.comp(adj.counit[x], adj.S.on_mor(g))
-                ok = ok and back == f
-            for g in M.hom(a, tx):
-                f = N.comp(adj.counit[x], adj.S.on_mor(g))
-                back = M.comp(adj.T.on_mor(f), adj.unit[a])
-                ok = ok and back == g
-    return ok
-
-
 def is_quillen_pair(
     adj: Adjunction, msM: ModelStructure, msN: ModelStructure
 ) -> CheckResult:

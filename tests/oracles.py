@@ -15,7 +15,17 @@ replaced: one pair of weak factorization systems at a time, two-out-of-three
 by :func:`composition_failure` on W's out-masks.  ``_opposite_pullbacks`` is
 the base-change table as the pushout table of the opposite category, and
 ``_walked_functor_issues`` validates a functor by walking every composable
-pair, as ``validate_functor`` does on a category that is not thin.
+pair, as ``validate_functor`` does on a category that is not thin, and
+``hom_bijection_ok`` checks an adjunction's hom-set bijection map by map.
+
+The homotopy searches (``_search_left_homotopic``,
+``_search_right_homotopic``, ``_search_homotopy_category``) and the
+invariance and transfer walks (``_walked_invariance``,
+``_walked_fibration_transfer``) are the generic forms of the closed forms
+in :mod:`modelcat.modelstruct` and :mod:`modelcat.extend`: they loop over
+hom-sets, cylinder factorizations and ``FinCat.composable_pairs``, and the
+homotopy category keeps its consistency checks, which raise
+:class:`TheoremViolationError`.
 
 The point, fold and diagonal maps below are the generic constructions
 from :func:`colimit` and :func:`limit`: the oracles of the lattice reads
@@ -28,19 +38,24 @@ from :func:`colimit` and :func:`limit`: the oracles of the lattice reads
 import itertools
 
 from modelcat.census import BudgetExceeded, weak_factorization_systems
+from modelcat.extend import HypothesisError
 from modelcat.fincat import (
     ConeResult,
     FinCat,
+    InputError,
     MissingLimitError,
+    TheoremViolationError,
     _bits,
     colimit,
     limit,
     opposite,
     require_lattice,
 )
+from modelcat.modelstruct import HoCategory, boundary_objects
 from modelcat.morphclass import (
     CheckResult,
     composition_failure,
+    factorizations,
     pullback_transfers,
     pushout_transfers,
     retract_pairs,
@@ -256,3 +271,163 @@ def _walked_functor_issues(fun) -> list[str]:
         if tgt.table[fun.mor_map[g]][fun.mor_map[f]] != fun.mor_map[gf]:
             issues.append(f"composition {src.name(g)}∘{src.name(f)} not preserved")
     return issues
+
+
+def hom_bijection_ok(adj) -> bool:
+    """Do f ↦ T(f)∘η and g ↦ ε∘S(g) invert each other on every hom pair?"""
+    M, N = adj.S.source, adj.S.target
+    ok = True
+    for a in range(len(M.objects)):
+        for x in range(len(N.objects)):
+            sa, tx = adj.S.on_obj(a), adj.T.on_obj(x)
+            for f in N.hom(sa, x):
+                g = M.comp(adj.T.on_mor(f), adj.unit[a])
+                back = N.comp(adj.counit[x], adj.S.on_mor(g))
+                ok = ok and back == f
+            for g in M.hom(a, tx):
+                f = N.comp(adj.counit[x], adj.S.on_mor(g))
+                back = M.comp(adj.T.on_mor(f), adj.unit[a])
+                ok = ok and back == g
+    return ok
+
+
+def _search_left_homotopic(ms, f: int, g: int) -> bool:
+    """Oracle for ``modelstruct.left_homotopic``: f ~ g via some cylinder
+    object of the shared source, over every cylinder and homotopy."""
+    cat = ms.cat
+    if cat.src(f) != cat.src(g) or cat.tgt(f) != cat.tgt(g):
+        raise InputError("morphisms must be parallel")
+    x, y = cat.src(f), cat.tgt(f)
+    po = require_lattice(cat)
+    power = po.join(x, x)  # X⊔X
+    leg, fold = po.arrow[x][power], po.arrow[power][x]  # both injections, fold map
+    # every cylinder of x: a (C, W) factorization of the fold map
+    for j, p in factorizations(cat, fold, ms.C.mask, ms.W.mask):
+        i = cat.comp(j, leg)
+        for h in cat.hom(cat.tgt(j), y):
+            if cat.table[h][i] == f == g:
+                return True
+    return False
+
+
+def _search_right_homotopic(ms, f: int, g: int) -> bool:
+    """Oracle for ``modelstruct.right_homotopic`` on parallel maps: f ~ g
+    via some path object of the shared target."""
+    cat = ms.cat
+    x, y = cat.src(f), cat.tgt(f)
+    po = require_lattice(cat)
+    power = po.meet(y, y)  # Y×Y
+    leg, diag = po.arrow[power][y], po.arrow[y][power]  # both projections, diagonal
+    for s, q in factorizations(cat, diag, ms.W.mask, ms.F.mask):
+        p = cat.comp(leg, q)
+        for h in cat.hom(x, cat.tgt(s)):
+            if cat.table[p][h] == f == g:
+                return True
+    return False
+
+
+def _search_homotopy_category(ms) -> HoCategory:
+    """Oracle for ``modelstruct.homotopy_category``: the left-homotopy
+    classes of every hom-set between cofibrant-fibrant objects, with the
+    relation checked to be an equivalence that agrees with right homotopy
+    and is compatible with composition; any violation is raised as
+    :class:`TheoremViolationError`.
+    """
+    if not ms.verified:
+        raise InputError("homotopy category requires a verified model structure")
+    cat = ms.cat
+    objs = tuple(
+        sorted(boundary_objects(ms, "cofibrant") & boundary_objects(ms, "fibrant"))
+    )
+    obj_set = set(objs)
+    homs: dict[tuple[int, int], tuple[frozenset[int], ...]] = {}
+    for a in objs:
+        for b in objs:
+            maps = list(cat.hom(a, b))
+            rel = {
+                (f, g): _search_left_homotopic(ms, f, g) for f in maps for g in maps
+            }
+            for f in maps:
+                if not rel[(f, f)]:
+                    raise TheoremViolationError("homotopy relation not reflexive")
+                for g in maps:
+                    if rel[(f, g)] != rel[(g, f)]:
+                        raise TheoremViolationError("homotopy relation not symmetric")
+                    if rel[(f, g)] != _search_right_homotopic(ms, f, g):
+                        raise TheoremViolationError(
+                            "left/right homotopy disagree on cofibrant-fibrant objects"
+                        )
+                    for h in maps:
+                        if rel[(f, g)] and rel[(g, h)] and not rel[(f, h)]:
+                            raise TheoremViolationError("homotopy relation not transitive")
+            classes: list[frozenset[int]] = []
+            seen: set[int] = set()
+            for f in maps:
+                if f in seen:
+                    continue
+                c = frozenset(g for g in maps if rel[(f, g)])
+                seen |= c
+                classes.append(c)
+            homs[(a, b)] = tuple(classes)
+
+    # composition must be well-defined on classes
+    for f, g, gf in cat.composable_pairs:
+        a, b, c = cat.src(f), cat.tgt(f), cat.tgt(g)
+        if a in obj_set and b in obj_set and c in obj_set:
+            for f2 in cat.hom(a, b):
+                for g2 in cat.hom(b, c):
+                    if (
+                        _search_left_homotopic(ms, f, f2)
+                        and _search_left_homotopic(ms, g, g2)
+                        and not _search_left_homotopic(ms, gf, cat.comp(g2, f2))
+                    ):
+                        raise TheoremViolationError(
+                            "composition not well-defined on homotopy classes"
+                        )
+    return HoCategory(ms, objs, homs)
+
+
+def _walked_invariance(sub, super_, W) -> CheckResult:
+    """Oracle for ``extend.check_invariance``: every pair of maps of super
+    and every pair of W-legs between them that makes the square commute."""
+    cat = sub.cat
+    if not (sub.members <= super_.members):
+        raise HypothesisError("need sub ⊆ super")
+    for f in sorted(super_.members):
+        for g in sorted(super_.members):
+            for u in cat.hom(cat.src(f), cat.src(g)):
+                if u not in W.members:
+                    continue
+                for v in cat.hom(cat.tgt(f), cat.tgt(g)):
+                    if v not in W.members:
+                        continue
+                    if cat.table[g][u] != cat.table[v][f]:
+                        continue
+                    if (f in sub.members) != (g in sub.members):
+                        return CheckResult.fail(
+                            "membership not invariant", f=f, g=g, u=u, v=v
+                        )
+    return CheckResult.ok("invariant")
+
+
+def _walked_fibration_transfer(base, ext) -> CheckResult:
+    """Oracle for ``extend.check_fibration_transfer``: two walks over
+    ``FinCat.composable_pairs``, fibrations first."""
+    cat = base.cat
+    for h, g, f in cat.composable_pairs:
+        if (
+            f in base.F.members
+            and g in ext.F.members
+            and h in base.W.members
+            and f not in ext.F.members
+        ):
+            return CheckResult.fail("fibration transfer fails", f=f, g=g, h=h)
+    for f, h, g in cat.composable_pairs:
+        if (
+            f in ext.C.members
+            and g in base.C.members
+            and h in base.W.members
+            and g not in ext.C.members
+        ):
+            return CheckResult.fail("cofibration transfer fails", f=f, g=g, h=h)
+    return CheckResult.ok("transfer")

@@ -8,6 +8,11 @@
 - Only ``fincat`` and ``morphclass`` keep caches on ``cat.scratch``.
 - ``morphclass`` builds an opposite category only for
   ``MorphClass.opposite``: its transfer tables are joins and meets.
+- Only ``fincat``, ``catio`` and ``quillen`` name
+  ``FinCat.composable_pairs`` (``quillen`` for ``validate_functor``'s walk
+  on a category that is not thin), and ``modelstruct`` and ``extend``
+  name no hom-set: on a lattice they read the one arrow between two
+  objects from the lattice view.
 """
 
 import ast
@@ -64,6 +69,7 @@ def test_the_source_is_read():
     assert {path.stem for path in MODULES} >= {"fincat", "morphclass", "modelstruct", "extend"}
     assert _offenders(set(), PUBLIC_SEARCHES)  # fincat itself
     assert _offenders(set(), {"scratch"})
+    assert _offenders(set(), {"composable_pairs"})  # fincat itself
 
 
 def test_only_fincat_searches_for_colimits():
@@ -77,6 +83,15 @@ def test_the_deleted_search_helpers_are_gone():
 
 def test_only_fincat_and_morphclass_touch_scratch():
     assert _offenders({"fincat", "morphclass"}, {"scratch"}) == []
+
+
+def test_only_fincat_catio_and_quillen_walk_the_composable_pairs():
+    assert _offenders({"fincat", "catio", "quillen"}, {"composable_pairs"}) == []
+
+
+def test_modelstruct_and_extend_read_no_hom_sets():
+    allowed = {path.stem for path in MODULES} - {"modelstruct", "extend"}
+    assert _offenders(allowed, {"hom", "hom_table"}) == []
 
 
 def test_morphclass_builds_opposites_only_for_the_opposite_class():

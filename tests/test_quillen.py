@@ -27,8 +27,9 @@ from modelcat import quillen
 from modelcat.catio import fixture_path, load_adjunction, load_fixture
 from modelcat.modelstruct import minimal_model_structure
 from modelcat.fincat import TheoremViolationError
-from modelcat.quillen import hom_bijection_ok, validate_functor
-from oracles import _walked_functor_issues
+from modelcat.quillen import validate_functor
+from oracles import _walked_functor_issues, hom_bijection_ok
+from test_thin import BUILT
 
 
 def test_identity_functor_validates(diamond):
@@ -106,10 +107,11 @@ def test_non_thin_target_still_walks_the_composable_pairs(retract):
     assert validate_functor(const)[0].startswith("identity")
 
 
-def test_identity_adjunction(diamond):
-    adj = Adjunction.identity(diamond)
-    assert validate_adjunction(adj) == []
-    assert hom_bijection_ok(adj)
+def test_identity_adjunction(diamond, bool3):
+    for cat in (diamond, bool3, BUILT["iso+top"]()):  # a ≅ b < t is not a poset
+        adj = Adjunction.identity(cat)
+        assert validate_adjunction(adj) == []
+        assert hom_bijection_ok(adj)
 
 
 def test_broken_adjunction(diamond):

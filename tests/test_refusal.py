@@ -30,6 +30,7 @@ from modelcat import (
     verify_model_structure,
 )
 from modelcat.catio import fixture_path
+from modelcat.extend import check_fibration_transfer, check_invariance
 from modelcat.fincat import Preorder
 from modelcat.cli import run
 from modelcat.morphclass import (
@@ -168,6 +169,11 @@ def _assert_library_refuses(spec):
     for mode in ("pruned", "naive"):
         with pytest.raises(InputError):
             enumerate_model_structures(cat, mode)
+    with pytest.raises(InputError):
+        check_invariance(everything, everything, everything)
+    unverified = ModelStructure(cat, MorphClass.isos(cat), everything, everything)
+    with pytest.raises(InputError):
+        check_fibration_transfer(unverified, unverified)
     for table in TABLES:
         with pytest.raises(InputError):
             table(cat)
