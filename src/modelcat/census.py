@@ -119,9 +119,13 @@ def _pruned_triples(
     (x, y, z) = (a→b, b→c, a→c) for the j in z & (x ^ y) | x & y & ~z."""
     wfs, steps = weak_factorization_systems(cat, budget)
     maps = range(len(cat.morphisms))
-    # per map f, the j with f ∈ L_j and the j with f ∈ R_j
-    in_L = [sum(1 << j for j, (L, _) in enumerate(wfs) if L >> f & 1) for f in maps]
-    in_R = [sum(1 << j for j, (_, R) in enumerate(wfs) if R >> f & 1) for f in maps]
+    in_L, in_R = [0] * len(maps), [0] * len(maps)  # per map f, the j with f ∈ L_j, f ∈ R_j
+    for j, (L, R) in enumerate(wfs):
+        bit = 1 << j
+        for f in _bits(L):
+            in_L[f] |= bit
+        for f in _bits(R):
+            in_R[f] |= bit
     arrow, up = thin.arrow, thin.up
     # per map a→b, (a→c, in_R[b→c]) for every c ≥ b
     onward = [[(arrow[a][c], in_R[arrow[b][c]]) for c in _bits(up[b])] for a, b in thin.ends]
@@ -146,8 +150,20 @@ def _pruned_triples(
         for x, y, z in triples:
             x, y, z = W[x], W[y], W[z]
             cand &= ~(z & (x ^ y) | x & y & ~z)
+        # one pass over the row's slices: the maps in every remaining j's W, and the rest
+        common, split = 0, []
+        for f, held in enumerate(W):
+            held &= cand
+            if held == cand:
+                common |= 1 << f
+            elif held:
+                split.append((f, held))
         for j in _bits(cand):
-            found.append((sum(1 << f for f in maps if W[f] >> j & 1), wfs[j][0], R1))
+            W_j = common
+            for f, held in split:
+                if held >> j & 1:
+                    W_j |= 1 << f
+            found.append((W_j, wfs[j][0], R1))
     members = {m: frozenset(_bits(m)) for m in set(itertools.chain(*found))}
     return [tuple(members[m] for m in t) for t in found], pairs
 
@@ -199,12 +215,12 @@ def enumerate_model_structures(
     else:
         found, checked = _pruned_triples(cat, thin, budget)
 
-    classes: dict[frozenset[int], MorphClass] = {}  # one per distinct class
+    # one class per distinct class, ranked so that triples sort as by tuple(map(sorted, t))
+    rank = {m: k for k, m in enumerate(sorted(set(itertools.chain(*found)), key=sorted))}
+    classes = {m: MorphClass(cat, m) for m in rank}
     structures = tuple(
-        ModelStructure.build(cat, *(
-            classes.get(m) or classes.setdefault(m, MorphClass(cat, m)) for m in triple
-        ))
-        for triple in sorted(found, key=lambda t: tuple(map(sorted, t)))
+        ModelStructure.build(cat, classes[W], classes[C], classes[F])
+        for W, C, F in sorted(found, key=lambda t: (rank[t[0]], rank[t[1]], rank[t[2]]))
     )
     for ms in structures:
         if not ms.verified:

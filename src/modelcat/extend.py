@@ -5,11 +5,12 @@ The hypotheses of Thm 1.2 and Thm 1.7 are module-level tables
 :func:`modelcat.morphclass.run_checks` runs in order; it returns the
 verdicts and the pass flag, which :class:`HypothesisReport` stores.  The
 closure hypotheses read the verdicts cached on each class
-(``MorphClass.verdicts``); the others pass masks such as
-``C_g.mask & W_g.mask`` to the table readers of :mod:`modelcat.morphclass`
-(:func:`has_lifting`, :func:`factors_all`, :func:`first_factorization`,
-:func:`stable_under_transfers`), so a check builds no class.  Thm 1.5
-runs the 1.2 table on the opposite base and classes.
+(``MorphClass.verdicts``), the lifting and factorization ones pass masks
+to :func:`has_lifting` and :func:`factors_all`, cached per pair of masks,
+and hypotheses 4-6 of 1.2 and 6 of 1.7 are decided once per base and the
+masks they read and kept in ``base.verdicts``: a check builds no class,
+and a scan decides each hypothesis once per distinct input.  Thm 1.5 runs
+the 1.2 table on the opposite base and classes (``base.opposite.verdicts``).
 
 Every (co)limit, the point maps ∅→x of hypothesis 4, the fold maps of
 hypothesis 5 and the pushouts of the constructive engines, is a join of
@@ -87,21 +88,22 @@ class ExtensionCandidate:
             raise InputError("candidate kind must be 'll' or 'lm'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HypothesisReport:
     """Verdicts by hypothesis number.  ``passed`` is stored: :func:`run_checks`
     computes it in the walk that fills ``verdicts``, and a report built from
-    verdicts alone computes it once here."""
+    verdicts alone computes it once here.  The fields are stored in the
+    instance dict, without the frozen dataclass ``__init__``'s setattr calls."""
 
     theorem: str  # "1.2" | "1.4" | "1.5" | "1.7"
     verdicts: dict[str, CheckResult]
     passed: bool = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.passed is None:
-            object.__setattr__(
-                self, "passed", all(c.passed for c in self.verdicts.values())
-            )
+    def __init__(self, theorem: str, verdicts: dict[str, CheckResult], passed: bool | None = None):
+        if passed is None:
+            passed = all(c.passed for c in verdicts.values())
+        fields = self.__dict__
+        fields["theorem"], fields["verdicts"], fields["passed"] = theorem, verdicts, passed
 
     def first_failure(self) -> tuple[str, CheckResult] | None:
         for k, c in self.verdicts.items():
@@ -139,8 +141,16 @@ def _composition_and(cls: MorphClass, property: str, ok: CheckResult) -> CheckRe
     return ok if verdict.passed else verdict
 
 
-def _cofibrant_coincidence(cand: ExtensionCandidate) -> CheckResult:
-    po, cof, C_g = require_lattice(cand.base.cat), cand.base.cofibrant, cand.C_g.mask
+def _per_base(decide, base: ModelStructure, *inputs) -> CheckResult:
+    """``decide(base, *inputs)``, decided once and kept in ``base.verdicts``."""
+    key = (decide, *inputs)
+    if key not in base.verdicts:
+        base.verdicts[key] = decide(base, *inputs)
+    return base.verdicts[key]
+
+
+def _cofibrant_coincidence(base: ModelStructure, C_g: int) -> CheckResult:
+    po, cof = require_lattice(base.cat), base.cofibrant
     for x, point in enumerate(po.arrow[po.join()]):  # the maps ∅→x
         if (C_g >> point & 1) != (x in cof):
             return CheckResult.fail(
@@ -149,26 +159,24 @@ def _cofibrant_coincidence(cand: ExtensionCandidate) -> CheckResult:
     return CheckResult.ok("cofibrant coincidence")
 
 
-def _cylinders(cand: ExtensionCandidate) -> CheckResult:
+def _cylinders(base: ModelStructure, C_g: int, W_g: int) -> CheckResult:
     """Every cofibrant object's fold map factors as a C_g-map followed by
     a W_g-map, which is what :func:`find_cylinder` searches for."""
-    cat, C_g, W_g = cand.base.cat, cand.C_g.mask, cand.W_g.mask
-    po = require_lattice(cat)
-    for x in sorted(cand.base.cofibrant):
+    cat, po = base.cat, require_lattice(base.cat)
+    for x in sorted(base.cofibrant):
         fold = po.arrow[po.join(x, x)][x]  # X⊔X→X
         if first_factorization(cat, fold, C_g, W_g) is None:
             return CheckResult.fail("cofibrant object has no cylinder", object=x)
     return CheckResult.ok("cylinders")
 
 
-def _w_pushout_stable(cand: ExtensionCandidate) -> CheckResult:
+def _w_pushout_stable(base: ModelStructure, C_g: int) -> CheckResult:
     """W is stable under pushout along every C_g-map g between cofibrant
     objects.  Only the source of g is tested: g ∈ C_g ⊆ C and ∅→src(g) ∈ C
     give ∅→tgt(g) = g∘(∅→src(g)) ∈ C, as C is closed under composition.
     The transfers that can fail are listed once per base."""
-    base = cand.base
     return stable_under_transfers(
-        base.cofibrant_pushouts, base.W.mask, cand.C_g.mask,
+        base.cofibrant_pushouts, base.W.mask, C_g,
         "W not closed under pushout along a C_g map between cofibrant objects",
         "W pushout-stability",
     )
@@ -178,9 +186,9 @@ _THM12 = (
     ("1", _two_of_three),
     ("2", _retracts),
     ("3", lambda cand: _composition_and(cand.C_g, "pushouts", _PUSHOUTS_OK)),
-    ("4", _cofibrant_coincidence),
-    ("5", _cylinders),
-    ("6", _w_pushout_stable),
+    ("4", lambda cand: _per_base(_cofibrant_coincidence, cand.base, cand.C_g.mask)),
+    ("5", lambda cand: _per_base(_cylinders, cand.base, cand.C_g.mask, cand.W_g.mask)),
+    ("6", lambda cand: _per_base(_w_pushout_stable, cand.base, cand.C_g.mask)),
     ("7", lambda cand: has_lifting(
         cand.base.cat, cand.C_g.mask & cand.W_g.mask, cand.F_g.mask
     )),
@@ -201,17 +209,12 @@ _THM17 = (
         cand.base.cat, cand.C_g.mask, cand.F_g.mask & cand.W_g.mask,
         "no (C_g, F_g∩W_g) factorization",
     )),
-    ("6", lambda cand: check_properness(cand.base, "right")),
+    ("6", lambda cand: _per_base(check_properness, cand.base, "right")),
 )
 
 
 def check_thm12(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
-    """The eight hypotheses for (W_g, C_g, F_g) to extend the base structure.
-
-    The base's cofibrant objects are read from the structure
-    (``base.cofibrant``) and the closure verdicts of hypotheses 1-3 from
-    each class (``MorphClass.verdicts``), so a scan whose candidates share
-    base and class objects computes each of them once."""
+    """The eight hypotheses for (W_g, C_g, F_g) to extend the base structure."""
     return HypothesisReport("1.2", *run_checks(_THM12, stop_at_first, cand))
 
 
@@ -583,9 +586,9 @@ def check_invariance(sub: MorphClass, super_: MorphClass, W: MorphClass) -> Chec
     po = require_lattice(sub.cat)
     if not (sub.members <= super_.members):
         raise HypothesisError("need sub ⊆ super")
-    arrow, ends = po.arrow, po.ends
-    for f in sorted(super_.members):
-        for g in sorted(super_.members):
+    arrow, ends, members = po.arrow, po.ends, sorted(super_.members)
+    for f in members:
+        for g in members:
             u, v = arrow[ends[f][0]][ends[g][0]], arrow[ends[f][1]][ends[g][1]]
             if u in W.members and v in W.members and (f in sub.members) != (g in sub.members):
                 return CheckResult.fail("membership not invariant", f=f, g=g, u=u, v=v)

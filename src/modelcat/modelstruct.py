@@ -108,6 +108,8 @@ class ModelStructure:
     C: MorphClass
     F: MorphClass
     report: AxiomReport | None = None
+    # the verdicts of the per-structure checks of modelcat.extend, by (check, inputs)
+    verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, cat: FinCat, W: MorphClass, C: MorphClass, F: MorphClass) -> "ModelStructure":

@@ -33,9 +33,11 @@ and, per (left, right) pair, the :func:`has_lifting` verdict and the
 :func:`factors_all` witness on ``cat.scratch``; closure verdicts
 (``MorphClass.verdicts``) and the members as a bitmask
 (``MorphClass.mask``) and as a class of the opposite category
-(``MorphClass.opposite``) on the class; cofibrant and fibrant objects and
-the verified opposite structure on the structure
-(:mod:`modelcat.modelstruct`).  Cached witnesses are read-only.
+(``MorphClass.opposite``) on the class; cofibrant and fibrant objects,
+the verified opposite structure and, per input, the verdicts of Thm 1.2
+hypotheses 4-6 and Thm 1.7 hypothesis 6 (``ModelStructure.verdicts``) on
+the structure.  Cached witnesses are read-only, and :meth:`CheckResult.ok`
+returns one shared result per description.
 
 Every table is a closed form on the lattice view
 (:func:`modelcat.fincat.require_lattice`) and refuses any category that
@@ -48,7 +50,7 @@ are the differential tests' oracles, in ``tests/oracles.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -158,7 +160,9 @@ class CheckResult:
     witness: Mapping[str, int] | None = None
 
     @classmethod
+    @lru_cache(maxsize=64)
     def ok(cls, description: str = "") -> "CheckResult":
+        """A passing result: one shared object per description."""
         return cls(True, description)
 
     @classmethod

@@ -11,6 +11,7 @@ diamond: verdicts, key order, ``passed``, ``first_failure()`` and
 witnesses, with and without ``stop_at_first``.
 """
 
+import dataclasses
 import functools
 import itertools
 import operator
@@ -24,8 +25,10 @@ from modelcat import (
     ModelStructure,
     MorphClass,
     check_thm12,
+    check_thm15,
     check_thm17,
 )
+from modelcat import extend
 from modelcat.census import enumerate_model_structures
 from modelcat.extend import check_properness
 from modelcat.fincat import MissingLimitError, build_category, from_poset
@@ -401,3 +404,82 @@ def test_hypothesis_6_reads_the_cofibrant_sources(request):
         )
     ]
     assert any(check_thm12(cand).verdicts["6"].passed for cand in unguarded)
+
+
+# -- the per-base verdicts ----------------------------------------------------
+
+
+def test_per_base_hypotheses_match_their_uncached_functions(diamond_census):
+    """Thm 1.2 hypotheses 4-6 and Thm 1.7 hypothesis 6 are decided once per
+    base and inputs and kept in ``base.verdicts``.  On every candidate over
+    fresh copies of the diamond census bases, so that the first candidate
+    with an input decides and the later ones read, each equals its
+    uncached function's verdict, and each base keeps one verdict per
+    distinct input."""
+    bases = [dataclasses.replace(base) for base in diamond_census.structures]
+    thm12, thm17 = dict(extend._THM12), dict(extend._THM17)
+    inputs = {id(base): set() for base in bases}
+    failures = {"ll 4": 0, "ll 5": 0, "ll 6": 0, "lm 6": 0}
+    for cand in _candidates(diamond_census.cat, bases):
+        base, C_g, W_g = cand.base, cand.C_g.mask, cand.W_g.mask
+        if cand.kind == "ll":
+            pairs = {
+                "ll 4": (thm12["4"](cand), extend._cofibrant_coincidence(base, C_g)),
+                "ll 5": (thm12["5"](cand), extend._cylinders(base, C_g, W_g)),
+                "ll 6": (thm12["6"](cand), extend._w_pushout_stable(base, C_g)),
+            }
+            inputs[id(base)] |= {
+                (extend._cofibrant_coincidence, C_g),
+                (extend._cylinders, C_g, W_g),
+                (extend._w_pushout_stable, C_g),
+            }
+        else:
+            pairs = {"lm 6": (thm17["6"](cand), check_properness(base, "right"))}
+            inputs[id(base)].add((check_properness, "right"))
+        for name, (cached, uncached) in pairs.items():
+            assert cached == uncached, name
+            failures[name] += not cached.passed
+    assert all(set(base.verdicts) == inputs[id(base)] for base in bases)
+    # diamond candidates keep identities in C_g, so every cylinder exists
+    assert failures["ll 5"] == 0 and failures["ll 4"] and failures["ll 6"] and failures["lm 6"]
+
+
+def test_per_base_verdicts_are_kept_per_base(diamond_census):
+    """Two bases with different cofibrant objects, read through one shared
+    C_g class, keep their own hypothesis 4 verdicts."""
+    cat = diamond_census.cat
+    bases = [dataclasses.replace(base) for base in diamond_census.structures]
+    everything, ids = MorphClass.all_maps(cat), MorphClass.identities(cat)
+    differ = 0
+    for one, other in itertools.combinations(bases, 2):
+        if one.cofibrant == other.cofibrant:
+            continue
+        C_g = MorphClass(cat, one.C.members & other.C.members)
+        got = [
+            check_thm12(ExtensionCandidate(base, everything, C_g, ids)).verdicts["4"]
+            for base in (one, other)
+        ]
+        assert got == [extend._cofibrant_coincidence(base, C_g.mask) for base in (one, other)]
+        differ += got[0] != got[1]
+    assert differ
+
+
+def test_thm15_fills_the_cache_of_the_opposite_base(diamond_minimal):
+    """Thm 1.5 runs the 1.2 table on ``base.opposite``, so hypotheses 4-6
+    are kept there, under the opposite classes' masks, and a second check
+    reads them."""
+    base = dataclasses.replace(diamond_minimal)  # nothing cached yet
+    everything = base.C  # all maps
+    cand = ExtensionCandidate(base, everything, everything, everything)
+    report = check_thm15(cand)
+    m = everything.mask
+    keys = {
+        (extend._cofibrant_coincidence, m): "4",
+        (extend._cylinders, m, m): "5",
+        (extend._w_pushout_stable, m): "6",
+    }
+    cached = base.opposite.verdicts
+    assert set(cached) == set(keys) and base.verdicts == {}
+    again = check_thm15(cand)
+    for key, name in keys.items():
+        assert report.verdicts[name] is cached[key] is again.verdicts[name]

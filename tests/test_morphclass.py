@@ -19,9 +19,16 @@ from modelcat import (
     lifting_closure,
 )
 from modelcat.census import enumerate_model_structures
-from modelcat.extend import check_properness
+from modelcat.extend import (
+    ExtensionCandidate,
+    HypothesisReport,
+    check_properness,
+    check_thm12,
+    check_thm15,
+    check_thm17,
+)
 from modelcat.fincat import build_category, opposite
-from modelcat.modelstruct import ModelStructure
+from modelcat.modelstruct import AxiomReport, ModelStructure, verify_model_structure
 from modelcat.morphclass import (
     CheckResult,
     _closure_verdict,
@@ -461,7 +468,10 @@ def test_cached_mask_verdicts_match_uncached(diamond):
 
 def test_cached_mask_witnesses_are_read_only(diamond):
     """A cached verdict is shared by every later caller, so neither it nor
-    its witness can be changed."""
+    its witness can be changed.  Nor can a report built from the runner's
+    verdicts and pass flag (a hypothesis report stores them without the
+    frozen dataclass's setattr calls); it equals, with the same ``repr`` and
+    ``passed``, the report built from its verdicts alone."""
     cat = dataclasses.replace(diamond)
     everything = (1 << len(cat.morphisms)) - 1
     verdicts = [
@@ -477,6 +487,26 @@ def test_cached_mask_witnesses_are_read_only(diamond):
             verdict.passed = True
     assert verdicts[2] == _lifting_verdict(cat, everything, everything)
     assert verdicts[3] == _uncached_factors_all(cat, 0, 0, DESCRIPTIONS[1])
+
+    isos, alls = MorphClass.isos(cat), MorphClass.all_maps(cat)
+    minimal = ModelStructure.build(cat, isos, alls, alls)
+    reports = [
+        minimal.report,
+        verify_model_structure(cat, isos, alls, isos, stop_at_first=True),
+        check_thm12(ExtensionCandidate(minimal, alls, alls, isos)),
+        check_thm15(ExtensionCandidate(minimal, alls, alls, isos)),
+        check_thm17(ExtensionCandidate(minimal, alls, isos, alls, kind="lm")),
+    ]
+    for report in reports:
+        if isinstance(report, AxiomReport):
+            verdicts, public = report.checks, AxiomReport(report.checks)
+        else:
+            verdicts, public = report.verdicts, HypothesisReport(report.theorem, report.verdicts)
+        assert report.passed == public.passed == all(c.passed for c in verdicts.values())
+        assert (report, repr(report)) == (public, repr(public))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.passed = not report.passed
+    assert len({(type(report), report.passed) for report in reports}) == 4
 
 
 def test_mask_verdicts_refuse_a_non_lattice_every_time(retract):
