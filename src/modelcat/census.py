@@ -235,6 +235,8 @@ def enumerate_extensions(
     census: CensusResult, base: ModelStructure, kind: str
 ) -> list[ModelStructure]:
     """Census structures whose classification against ``base`` matches."""
+    if kind not in ("equal", "ll", "lm", "ml", "mm", "other"):
+        raise InputError(f"unknown extension kind {kind!r}")
     if base.triple() not in census.triples():
         raise InputError("base structure is not part of the census")
     return [

@@ -20,7 +20,7 @@ from .fincat import (
     is_finitely_bicomplete,
     validate_category,
 )
-from .morphclass import CheckResult
+from .morphclass import CheckResult, MorphClass
 from .modelstruct import ModelStructure, minimal_model_structure
 from .extend import (
     ExtensionCandidate,
@@ -89,12 +89,8 @@ def _text_lines(value, indent=""):
                 yield f"{indent}- {v}"
 
 
-def _classes_payload(ms: ModelStructure) -> dict:
-    return {
-        "W": list(ms.W.names()),
-        "C": list(ms.C.names()),
-        "F": list(ms.F.names()),
-    }
+def _classes_payload(W: MorphClass, C: MorphClass, F: MorphClass) -> dict:
+    return {"W": list(W.names()), "C": list(C.names()), "F": list(F.names())}
 
 
 def _require_wcf(classes: dict, path: str) -> tuple:
@@ -149,7 +145,7 @@ def cmd_minimal(args, fmt) -> int:
         ms = minimal_model_structure(cat)
     except MissingLimitError as e:
         return _finish("minimal", False, {"reason": str(e)}, fmt)
-    return _finish("minimal", True, _classes_payload(ms), fmt)
+    return _finish("minimal", True, _classes_payload(ms.W, ms.C, ms.F), fmt)
 
 
 def cmd_extend(args, fmt) -> int:
@@ -171,11 +167,7 @@ def cmd_extend(args, fmt) -> int:
             }
         }
         if built is not None:
-            payload["structure"] = {
-                "W": list(built.W_g.names()),
-                "C": list(built.C_g.names()),
-                "F": list(built.F_g.names()),
-            }
+            payload["structure"] = _classes_payload(built.W_g, built.C_g, built.F_g)
         return _finish("extend", report.passed, payload, fmt)
 
     W, C, F = _require_wcf(cand_classes, args.candidate)
@@ -267,7 +259,7 @@ def cmd_census(args, fmt) -> int:
         "count": len(result.structures),
         "candidates_checked": result.candidates_checked,
         "elapsed_seconds": round(result.elapsed, 3),
-        "structures": [_classes_payload(ms) for ms in result.structures],
+        "structures": [_classes_payload(ms.W, ms.C, ms.F) for ms in result.structures],
     }
     return _finish("census", True, payload, fmt)
 

@@ -172,11 +172,13 @@ def _cylinders(base: ModelStructure, C_g: int, W_g: int) -> CheckResult:
 
 def _w_pushout_stable(base: ModelStructure, C_g: int) -> CheckResult:
     """W is stable under pushout along every C_g-map g between cofibrant
-    objects.  Only the source of g is tested: g ∈ C_g ⊆ C and ∅→src(g) ∈ C
-    give ∅→tgt(g) = g∘(∅→src(g)) ∈ C, as C is closed under composition.
-    The transfers that can fail are listed once per base."""
+    objects: one scan of the pushout transfers.  Only the source of g is
+    tested: g ∈ C_g ⊆ C and ∅→src(g) ∈ C give ∅→tgt(g) = g∘(∅→src(g)) ∈ C,
+    as C is closed under composition."""
+    cat, cof = base.cat, base.cofibrant
+    from_cof = sum(1 << g for g, m in enumerate(cat.morphisms) if m.src in cof)
     return stable_under_transfers(
-        base.cofibrant_pushouts, base.W.mask, C_g,
+        pushout_transfers(cat), base.W.mask, C_g & from_cof,
         "W not closed under pushout along a C_g map between cofibrant objects",
         "W pushout-stability",
     )
@@ -226,6 +228,8 @@ def check_thm15(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
     ``base.opposite``, and the candidate's opposite classes from
     ``MorphClass.opposite``, so repeated checks share them, their closure
     verdicts and the tables of the opposite category."""
+    if cand.kind != "ll":
+        raise HypothesisError("theorem 1.5 candidates must have kind 'll'")
     base_op = cand.base.opposite
     if not base_op.verified:
         raise TheoremViolationError(

@@ -30,11 +30,9 @@ from .morphclass import (
     CheckResult,
     MorphClass,
     closure_check,
-    escaping_transfers,
     factors_all,
     first_factorization,
     has_lifting,
-    pushout_transfers,
     run_checks,
 )
 
@@ -131,14 +129,6 @@ class ModelStructure:
         """Objects x with ∅→x a cofibration."""
         po, C = require_lattice(self.cat), self.C.mask
         return frozenset(x for x, point in enumerate(po.arrow[po.join()]) if C >> point & 1)
-
-    @cached_property
-    def cofibrant_pushouts(self) -> tuple[tuple[int, int, int], ...]:
-        """The pushout transfers (f, g, f') with f ∈ W, f' ∉ W and g out of a
-        cofibrant object, which Thm 1.2 hypothesis 6 tests per candidate."""
-        cat, cof = self.cat, self.cofibrant
-        from_cof = sum(1 << g for g, m in enumerate(cat.morphisms) if m.src in cof)
-        return escaping_transfers(pushout_transfers(cat), self.W.mask, from_cof)
 
     @cached_property
     def fibrant(self) -> frozenset[int]:
@@ -245,7 +235,7 @@ class HoCategory:
 
     def cls_of(self, f: int) -> frozenset[int]:
         cat = self.ms.cat
-        for c in self.homs[(cat.src(f), cat.tgt(f))]:
+        for c in self.homs.get((cat.src(f), cat.tgt(f)), ()):
             if f in c:
                 return c
         raise InputError("morphism is not between cofibrant-fibrant objects")

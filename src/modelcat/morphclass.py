@@ -11,16 +11,15 @@ no class:
   has no lift; a failed :func:`has_lifting` reads its witness square from
   :func:`unliftable_pairs`;
 - factorization: :func:`factors_all` ANDs per-object masks, and
-  :func:`factorizations` / :func:`first_factorization` filter
-  :func:`factor_pairs`;
+  :func:`factorizations` filters :func:`factor_pairs`
+  (:func:`first_factorization` is its first);
 - closure: :func:`closure_check` scans :func:`retract_pairs`, tests
   composition and two-out-of-three per arrow with
   :func:`composition_failure`, and :func:`stable_under_transfers` (the
   first (f, g, f') of :func:`pushout_transfers` or
   :func:`pullback_transfers` with f ∈ X, g ∈ along, f' ∉ X) serves
   closure under pushouts and pullbacks, properness and Thm 1.2
-  hypothesis 6 in :mod:`modelcat.extend` (there on the
-  :func:`escaping_transfers` its base lists once).
+  hypothesis 6 in :mod:`modelcat.extend`.
 
 :func:`run_checks` is the one runner of the axiom table
 (:func:`modelcat.modelstruct.verify_model_structure`) and the Thm 1.2 /
@@ -430,18 +429,6 @@ def stable_under_transfers(
     return CheckResult.ok(success)
 
 
-def escaping_transfers(
-    transfers: Iterable[tuple[int, int, int]], inside: int, along: int
-) -> tuple[tuple[int, int, int], ...]:
-    """The (f, g, f') of ``transfers`` with f in ``inside``, g in ``along``
-    and f' not in ``inside``, in table order: the only ones on which
-    :func:`stable_under_transfers` can fail for ``along`` or a part of it."""
-    return tuple(
-        (f, g, fp) for f, g, fp in transfers
-        if inside >> f & 1 and not inside >> fp & 1 and along >> g & 1
-    )
-
-
 def closure_check(cls: MorphClass, property: str) -> CheckResult:
     """Closure of a class under retracts, composition, pushouts, pullbacks
     or the two-out-of-three rule, with a least-id witness on failure.
@@ -496,12 +483,8 @@ def factorizations(cat: FinCat, f: int, left: int, right: int) -> Iterator[tuple
 
 
 def first_factorization(cat: FinCat, f: int, left: int, right: int) -> tuple[int, int] | None:
-    """The first of :func:`factorizations`, or ``None``; a plain loop, as
-    hypothesis 5 of Thm 1.2 runs it for every candidate."""
-    for j, p in factor_pairs(cat, f):
-        if left >> j & 1 and right >> p & 1:
-            return j, p
-    return None
+    """The first of :func:`factorizations`, or ``None``."""
+    return next(factorizations(cat, f, left, right), None)
 
 
 def enumerate_factorizations(
@@ -526,7 +509,8 @@ def composition_failure(
     in up[b], so the failing c are ``out[b] & ~out[a]`` (composition, f in
     the class), ``out[b] ^ (out[a] & up[b])`` (two-out-of-three, f in) and
     ``out[b] & out[a]`` (two-out-of-three, f out); g is the least id among
-    them.  :func:`closure_check` and the census pair loop both call it."""
+    them.  :func:`closure_check` calls it, and the census oracle in
+    ``tests/oracles.py`` reuses it."""
     up, arrow, ends = po.up, po.arrow, po.ends
     for f, (a, b) in enumerate(ends):
         if out[a] >> b & 1:

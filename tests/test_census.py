@@ -190,6 +190,9 @@ def test_enumerate_extensions(arrow, arrow_census, arrow_minimal, diamond_minima
     assert all(arrow_minimal.W.members < ms.W.members for ms in lls)
     with pytest.raises(InputError):
         enumerate_extensions(arrow_census, diamond_minimal, "ll")
+    for kind in ("LL", "", "ll "):  # a misspelled kind is refused, not matched by nothing
+        with pytest.raises(InputError, match="unknown extension kind"):
+            enumerate_extensions(arrow_census, arrow_minimal, kind)
 
 
 @pytest.mark.parametrize("census_name", ["arrow_census", "chain2_census", "diamond_census"])

@@ -274,6 +274,16 @@ def test_thm17_requires_lm_kind(diamond_minimal):
         check_thm17(_self_candidate(diamond_minimal, kind="ll"))
 
 
+def test_thm15_requires_ll_kind(diamond_census):
+    """An lm candidate is refused by its kind, not by the containment its
+    opposite candidate breaks (there F_g ⊆ F reads as C_g ⊆ C)."""
+    ms = next(ms for ms in diamond_census.structures if ms.F.complement().members)
+    more = ms.F | _cls(ms.cat, {min(ms.F.complement().members)})
+    for cand in (_self_candidate(ms, kind="lm"), ExtensionCandidate(ms, ms.W, ms.C, more, "lm")):
+        with pytest.raises(HypothesisError, match="theorem 1.5 candidates must have kind 'll'"):
+            check_thm15(cand)
+
+
 @pytest.mark.parametrize(
     "name,expected_candidates,expected_passing",
     [("arrow", 9, 5), ("chain2", 373, 29)],

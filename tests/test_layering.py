@@ -13,13 +13,19 @@
   on a category that is not thin), and ``modelstruct`` and ``extend``
   name no hom-set: on a lattice they read the one arrow between two
   objects from the lattice view.
+- Thm 1.2 hypothesis 6 is decided once per base and C_g mask, so no
+  pre-filtered list of pushout transfers (``escaping_transfers``,
+  ``ModelStructure.cofibrant_pushouts``) is kept under it, and
+  ``first_factorization`` is the first of ``factorizations``, not a loop
+  of its own.
 """
 
 import ast
 from pathlib import Path
 
 import modelcat
-from modelcat import fincat
+from modelcat import fincat, morphclass
+from modelcat.modelstruct import ModelStructure
 
 SRC = Path(modelcat.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -79,6 +85,19 @@ def test_only_fincat_searches_for_colimits():
 def test_the_deleted_search_helpers_are_gone():
     assert [name for name in sorted(DELETED) if hasattr(fincat, name)] == []
     assert _offenders(set(), DELETED) == []
+
+
+def test_the_hypothesis_6_prefilter_is_gone():
+    assert not hasattr(morphclass, "escaping_transfers")
+    assert not hasattr(ModelStructure, "cofibrant_pushouts")
+    assert _offenders(set(), {"escaping_transfers", "cofibrant_pushouts"}) == []
+    path = SRC / "morphclass.py"
+    first = next(
+        node for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "first_factorization"
+    )
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(node, loops) for node in ast.walk(first))
 
 
 def test_only_fincat_and_morphclass_touch_scratch():

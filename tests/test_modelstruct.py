@@ -189,6 +189,12 @@ def test_homotopy_category_whole_census(diamond_census):
         for (a, b), classes in ho.homs.items():
             covered = set().union(*classes) if classes else set()
             assert covered == set(ms.cat.hom(a, b))
+        for f, m in enumerate(ms.cat.morphisms):  # cls_of refuses the other maps
+            if {m.src, m.tgt} <= set(ho.objects):
+                assert ho.cls_of(f) == {f}
+            else:
+                with pytest.raises(InputError):
+                    ho.cls_of(f)
 
 
 def test_homotopy_category_requires_verified(diamond):
