@@ -1,16 +1,15 @@
 """Hypothesis checkers and constructive engines for extending model structures.
 
 The hypotheses of Thm 1.2 and Thm 1.7 are module-level tables
-(``_THM12``, ``_THM17``) of private functions of the candidate, which
-:func:`modelcat.morphclass.run_checks` runs in order; it returns the
-verdicts and the pass flag, which :class:`HypothesisReport` stores.  The
-closure hypotheses read the verdicts cached on each class
-(``MorphClass.verdicts``), the lifting and factorization ones pass masks
-to :func:`has_lifting` and :func:`factors_all`, cached per pair of masks,
-and hypotheses 4-6 of 1.2 and 6 of 1.7 are decided once per base and the
-masks they read and kept in ``base.verdicts``: a check builds no class,
-and a scan decides each hypothesis once per distinct input.  Thm 1.5 runs
-the 1.2 table on the opposite base and classes (``base.opposite.verdicts``).
+(``_THM12``, ``_THM17``) of private functions of the candidate, and
+:func:`check_thm12` / :func:`check_thm17` each walk their table and build
+the :class:`HypothesisReport` in one call.  A hypothesis reads a cached
+verdict with one lookup and decides only on a miss: closure verdicts on
+each class (``MorphClass.verdicts``), :func:`has_lifting` and
+:func:`factors_all` per pair of masks, and hypotheses 4-6 of 1.2 and 6 of
+1.7 per base and the masks they read (``base.verdicts``): a check builds
+no class, and a scan decides each hypothesis once per distinct input.
+Thm 1.5 runs the 1.2 table on the opposite base and classes.
 
 Every (co)limit, the point maps ∅→x of hypothesis 4, the fold maps of
 hypothesis 5 and the pushouts of the constructive engines, is a join of
@@ -27,6 +26,7 @@ raised as :class:`TheoremViolationError` rather than swallowed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 
 from .fincat import FinCat, InputError, Preorder, TheoremViolationError, _bits, require_lattice
 from .morphclass import (
@@ -43,7 +43,6 @@ from .morphclass import (
     lifting_closure,
     pushout_transfers,
     pullback_transfers,
-    run_checks,
     stable_under_transfers,
 )
 from .modelstruct import ModelStructure, find_cylinder
@@ -68,6 +67,12 @@ class ExtensionCandidate:
     kind: str = "ll"
 
     def __post_init__(self):
+        if self.kind == "ll":
+            inner, outer = self.F_g, self.base.F
+        elif self.kind == "lm":
+            inner, outer = self.base.F, self.F_g
+        else:
+            raise InputError("candidate kind must be 'll' or 'lm'")
         if not self.base.verified:
             raise HypothesisError("base model structure is not verified")
         cat = self.base.cat
@@ -78,22 +83,16 @@ class ExtensionCandidate:
             raise HypothesisError("W ⊆ W_g fails")
         if not (self.C_g.members <= self.base.C.members):
             raise HypothesisError("C_g ⊆ C fails")
-        if self.kind == "ll":
-            if not (self.F_g.members <= self.base.F.members):
-                raise HypothesisError("F_g ⊆ F fails")
-        elif self.kind == "lm":
-            if not (self.base.F.members <= self.F_g.members):
-                raise HypothesisError("F ⊆ F_g fails")
-        else:
-            raise InputError("candidate kind must be 'll' or 'lm'")
+        if not (inner.members <= outer.members):
+            raise HypothesisError("F_g ⊆ F fails" if self.kind == "ll" else "F ⊆ F_g fails")
 
 
 @dataclass(frozen=True, init=False)
 class HypothesisReport:
-    """Verdicts by hypothesis number.  ``passed`` is stored: :func:`run_checks`
-    computes it in the walk that fills ``verdicts``, and a report built from
-    verdicts alone computes it once here.  The fields are stored in the
-    instance dict, without the frozen dataclass ``__init__``'s setattr calls."""
+    """Verdicts by hypothesis number.  ``passed`` is stored: a checker that
+    stops at a failure gives False, and otherwise it is computed once here
+    from the verdicts.  The fields are stored in the instance dict, without
+    the frozen dataclass ``__init__``'s setattr calls."""
 
     theorem: str  # "1.2" | "1.4" | "1.5" | "1.7"
     verdicts: dict[str, CheckResult]
@@ -123,30 +122,56 @@ _PULLBACKS_OK = CheckResult.ok("composition; pullbacks")
 
 
 def _two_of_three(cand: ExtensionCandidate) -> CheckResult:
-    return closure_check(cand.W_g, "two_of_three")
+    return cand.W_g.verdicts.get("two_of_three") or closure_check(cand.W_g, "two_of_three")
 
 
 def _retracts(cand: ExtensionCandidate) -> CheckResult:
     for cls in (cand.W_g, cand.C_g, cand.F_g):
-        verdict = closure_check(cls, "retracts")
+        verdict = cls.verdicts.get("retracts") or closure_check(cls, "retracts")
         if not verdict.passed:
             return verdict
     return _RETRACTS_OK
 
 
-def _composition_and(cls: MorphClass, property: str, ok: CheckResult) -> CheckResult:
-    verdict = closure_check(cls, "composition")
+def _c_g_pushouts(cand: ExtensionCandidate) -> CheckResult:
+    C_g = cand.C_g
+    verdict = C_g.verdicts.get("composition") or closure_check(C_g, "composition")
     if verdict.passed:
-        verdict = closure_check(cls, property)
-    return ok if verdict.passed else verdict
+        verdict = C_g.verdicts.get("pushouts") or closure_check(C_g, "pushouts")
+    return _PUSHOUTS_OK if verdict.passed else verdict
 
 
-def _per_base(decide, base: ModelStructure, *inputs) -> CheckResult:
-    """``decide(base, *inputs)``, decided once and kept in ``base.verdicts``."""
-    key = (decide, *inputs)
-    if key not in base.verdicts:
-        base.verdicts[key] = decide(base, *inputs)
-    return base.verdicts[key]
+def _f_g_pullbacks(cand: ExtensionCandidate) -> CheckResult:
+    F_g = cand.F_g
+    verdict = F_g.verdicts.get("composition") or closure_check(F_g, "composition")
+    if verdict.passed:
+        verdict = F_g.verdicts.get("pullbacks") or closure_check(F_g, "pullbacks")
+    return _PULLBACKS_OK if verdict.passed else verdict
+
+
+def _per_base(base: ModelStructure, key: tuple) -> CheckResult:
+    """Decide ``key = (decide, *inputs)`` on the base and keep it in ``base.verdicts``."""
+    return base.verdicts.setdefault(key, key[0](base, *key[1:]))
+
+
+def _point_maps(cand: ExtensionCandidate) -> CheckResult:
+    key = (_cofibrant_coincidence, cand.C_g.mask)
+    return cand.base.verdicts.get(key) or _per_base(cand.base, key)
+
+
+def _fold_maps(cand: ExtensionCandidate) -> CheckResult:
+    key = (_cylinders, cand.C_g.mask, cand.W_g.mask)
+    return cand.base.verdicts.get(key) or _per_base(cand.base, key)
+
+
+def _w_pushouts(cand: ExtensionCandidate) -> CheckResult:
+    key = (_w_pushout_stable, cand.C_g.mask)
+    return cand.base.verdicts.get(key) or _per_base(cand.base, key)
+
+
+def _right_proper(cand: ExtensionCandidate) -> CheckResult:
+    key = (check_properness, "right")
+    return cand.base.verdicts.get(key) or _per_base(cand.base, key)
 
 
 def _cofibrant_coincidence(base: ModelStructure, C_g: int) -> CheckResult:
@@ -187,13 +212,11 @@ def _w_pushout_stable(base: ModelStructure, C_g: int) -> CheckResult:
 _THM12 = (
     ("1", _two_of_three),
     ("2", _retracts),
-    ("3", lambda cand: _composition_and(cand.C_g, "pushouts", _PUSHOUTS_OK)),
-    ("4", lambda cand: _per_base(_cofibrant_coincidence, cand.base, cand.C_g.mask)),
-    ("5", lambda cand: _per_base(_cylinders, cand.base, cand.C_g.mask, cand.W_g.mask)),
-    ("6", lambda cand: _per_base(_w_pushout_stable, cand.base, cand.C_g.mask)),
-    ("7", lambda cand: has_lifting(
-        cand.base.cat, cand.C_g.mask & cand.W_g.mask, cand.F_g.mask
-    )),
+    ("3", _c_g_pushouts),
+    ("4", _point_maps),
+    ("5", _fold_maps),
+    ("6", _w_pushouts),
+    ("7", lambda cand: has_lifting(cand.base.cat, cand.C_g.mask & cand.W_g.mask, cand.F_g.mask)),
     ("8", lambda cand: factors_all(
         cand.base.cat, cand.C_g.mask & cand.W_g.mask, cand.F_g.mask,
         "no (C_g∩W_g, F_g) factorization",
@@ -203,21 +226,39 @@ _THM12 = (
 _THM17 = (
     ("1", _two_of_three),
     ("2", _retracts),
-    ("3", lambda cand: _composition_and(cand.F_g, "pullbacks", _PULLBACKS_OK)),
-    ("4", lambda cand: has_lifting(
-        cand.base.cat, cand.C_g.mask, cand.F_g.mask & cand.W_g.mask
-    )),
+    ("3", _f_g_pullbacks),
+    ("4", lambda cand: has_lifting(cand.base.cat, cand.C_g.mask, cand.F_g.mask & cand.W_g.mask)),
     ("5", lambda cand: factors_all(
         cand.base.cat, cand.C_g.mask, cand.F_g.mask & cand.W_g.mask,
         "no (C_g, F_g∩W_g) factorization",
     )),
-    ("6", lambda cand: _per_base(check_properness, cand.base, "right")),
+    ("6", _right_proper),
 )
 
 
+def _walks(theorem: str, table, kind: str):
+    """The checker of ``theorem``, named and documented by the decorated stub:
+    one call refuses another kind, walks ``table`` and builds the report,
+    whose ``passed`` is False at the first failure with ``stop_at_first``."""
+
+    def checker(stub):
+        @wraps(stub)
+        def check(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
+            if cand.kind != kind:
+                raise HypothesisError(f"theorem {theorem} candidates must have kind '{kind}'")
+            verdicts = {}
+            for name, hypothesis in table:
+                verdict = verdicts[name] = hypothesis(cand)
+                if not verdict.passed and stop_at_first:
+                    return HypothesisReport(theorem, verdicts, False)
+            return HypothesisReport(theorem, verdicts)
+        return check
+    return checker
+
+
+@_walks("1.2", _THM12, "ll")
 def check_thm12(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
     """The eight hypotheses for (W_g, C_g, F_g) to extend the base structure."""
-    return HypothesisReport("1.2", *run_checks(_THM12, stop_at_first, cand))
 
 
 def check_thm15(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
@@ -242,11 +283,9 @@ def check_thm15(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
     return HypothesisReport("1.5", report.verdicts, report.passed)
 
 
+@_walks("1.7", _THM17, "lm")
 def check_thm17(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
     """Hypotheses for the more-fibrations variant (candidate kind 'lm')."""
-    if cand.kind != "lm":
-        raise HypothesisError("theorem 1.7 candidates must have kind 'lm'")
-    return HypothesisReport("1.7", *run_checks(_THM17, stop_at_first, cand))
 
 
 def build_extension(cand: ExtensionCandidate) -> ModelStructure:

@@ -33,7 +33,6 @@ from .morphclass import (
     factors_all,
     first_factorization,
     has_lifting,
-    run_checks,
 )
 
 _NO_FACTORIZATION = "morphism admits no factorization"
@@ -59,9 +58,8 @@ AXIOM_NAMES = tuple(name for name, _ in _AXIOMS)
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Verdicts by axiom name.  ``passed`` is stored: :func:`run_checks`
-    computes it in the walk that fills ``checks``, and a report built from
-    verdicts alone computes it once here."""
+    """Verdicts by axiom name.  ``passed`` is computed once, from the
+    verdicts, unless given, and stored."""
 
     checks: dict[str, CheckResult]
     passed: bool = field(default=None, repr=False, compare=False)
@@ -96,7 +94,12 @@ def verify_model_structure(
     require_lattice(cat)
     if any(cls.cat is not cat and cls.cat != cat for cls in (W, C, F)):
         raise InputError("classes live over different categories")
-    return AxiomReport(*run_checks(_AXIOMS, stop_at_first, cat, W, C, F))
+    checks = {}
+    for name, axiom in _AXIOMS:
+        verdict = checks[name] = axiom(cat, W, C, F)
+        if stop_at_first and not verdict.passed:
+            break
+    return AxiomReport(checks)
 
 
 @dataclass(frozen=True)

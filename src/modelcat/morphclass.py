@@ -21,11 +21,6 @@ no class:
   closure under pushouts and pullbacks, properness and Thm 1.2
   hypothesis 6 in :mod:`modelcat.extend`.
 
-:func:`run_checks` is the one runner of the axiom table
-(:func:`modelcat.modelstruct.verify_model_structure`) and the Thm 1.2 /
-1.7 hypothesis tables: named checks in order, optionally stopping at the
-first failure, with the pass flag computed in the same walk.
-
 Each result is cached on the immutable object it describes, so a cache
 lives exactly as long as what its caller keeps: the per-category tables
 and, per (left, right) pair, the :func:`has_lifting` verdict and the
@@ -51,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .fincat import (
     FinCat,
@@ -174,26 +169,6 @@ def combine(*checks: CheckResult) -> CheckResult:
         if not c.passed:
             return c
     return CheckResult.ok("; ".join(c.description for c in checks if c.description))
-
-
-def run_checks(
-    checks: Iterable[tuple[str, Callable[..., CheckResult]]],
-    stop_at_first: bool,
-    *args,
-) -> tuple[dict[str, CheckResult], bool]:
-    """Run named checks of ``args`` in order, and return their verdicts and
-    whether all of them passed.  With ``stop_at_first`` the verdicts end
-    at the first failure (used by the exhaustive scans).  This is the one
-    runner of the axiom and hypothesis tables."""
-    out: dict[str, CheckResult] = {}
-    passed = True
-    for name, check in checks:
-        result = out[name] = check(*args)
-        if not result.passed:
-            passed = False
-            if stop_at_first:
-                break
-    return out, passed
 
 
 @dataclass(frozen=True)
@@ -373,10 +348,8 @@ def has_lifting(cat: FinCat, left: int, right: int) -> CheckResult:
     The witness is the least i, then the least p, with an unliftable
     square, and that pair's least (top, bottom).  Decided once per (left,
     right) and kept on ``cat.scratch``."""
-    cache = cat.scratch.setdefault("lifting_verdicts", {})
-    if (left, right) not in cache:
-        cache[left, right] = _lifting_verdict(cat, left, right)
-    return cache[left, right]
+    cache, key = cat.scratch.setdefault("lifting_verdicts", {}), (left, right)
+    return cache.get(key) or cache.setdefault(key, _lifting_verdict(cat, left, right))
 
 
 def _lifting_verdict(cat: FinCat, left: int, right: int) -> CheckResult:
@@ -531,9 +504,9 @@ def factors_all(cat: FinCat, left: int, right: int, description: str) -> CheckRe
     morphism that does not factor is the witness ``f``.  The witness is
     decided once per (left, right) and kept on ``cat.scratch``."""
     cache = cat.scratch.setdefault("unfactored", {})
-    if (left, right) not in cache:
-        cache[left, right] = _least_unfactored(cat, left, right)
-    f = cache[left, right]
+    f = cache.get((left, right), -1)  # -1: not decided yet, as ids are >= 0
+    if f == -1:
+        f = cache[left, right] = _least_unfactored(cat, left, right)
     return CheckResult.ok("factorization") if f is None else CheckResult.fail(description, f=f)
 
 

@@ -76,6 +76,20 @@ def test_candidate_containments(arrow_minimal, arrow):
         )
 
 
+def test_candidate_kind_is_checked_first(diamond, diamond_minimal, arrow):
+    """An unknown kind is refused as such before any containment or the
+    base is read: here W_g = ∅ misses the identities in W, and the second
+    base is not verified."""
+    with pytest.raises(InputError, match="candidate kind must be 'll' or 'lm'"):
+        ExtensionCandidate(
+            diamond_minimal, MorphClass.empty(diamond), diamond_minimal.C, diamond_minimal.F,
+            kind="xx",
+        )
+    ids = MorphClass.identities(arrow)
+    with pytest.raises(InputError, match="candidate kind must be 'll' or 'lm'"):
+        ExtensionCandidate(ModelStructure(arrow, ids, ids, ids), ids, ids, ids, kind="xx")
+
+
 def test_candidate_needs_verified_base(arrow):
     broken = ModelStructure(
         arrow,
@@ -263,15 +277,30 @@ def test_thm15_verdicts_match_rebuilding_oracle(diamond, diamond_minimal, diamon
     ]
     passed = 0
     for cand in candidates:
-        report = check_thm15(cand)
-        assert report == _thm15_rebuilding(cand)
+        report, want = check_thm15(cand), _thm15_rebuilding(cand)
+        assert report == want
         passed += report.passed
+        # stop-at-first: the oracle's verdicts up to its first failure
+        first = want.first_failure()
+        keys = list(want.verdicts)
+        keys = keys[: keys.index(first[0]) + 1] if first else keys
+        short = check_thm15(cand, stop_at_first=True)
+        assert list(short.verdicts) == keys
+        assert short.verdicts == {k: want.verdicts[k] for k in keys}
+        assert (short.theorem, short.passed, short.first_failure()) == ("1.5", want.passed, first)
     assert len(candidates) > 1000 and 0 < passed < len(candidates)
 
 
 def test_thm17_requires_lm_kind(diamond_minimal):
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError, match="theorem 1.7 candidates must have kind 'lm'"):
         check_thm17(_self_candidate(diamond_minimal, kind="ll"))
+
+
+def test_thm12_requires_ll_kind(diamond_minimal):
+    """Thm 1.2 is an ll theorem: an lm candidate is refused, not reported on."""
+    for stop_at_first in (False, True):
+        with pytest.raises(HypothesisError, match="theorem 1.2 candidates must have kind 'll'"):
+            check_thm12(_self_candidate(diamond_minimal, kind="lm"), stop_at_first)
 
 
 def test_thm15_requires_ll_kind(diamond_census):
