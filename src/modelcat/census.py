@@ -13,9 +13,10 @@ that is not valid and finitely bicomplete (:func:`require_lattice`).
 Cached on the category: the tables :func:`llp`, :func:`rlp` and
 :func:`factors_all` read, and the answer to each (left, right) question of
 :func:`has_lifting` and :func:`factors_all`, so re-verification decides
-each wfs once per side.  The per-map wfs bitsets live for one census, and
-the structures share one :class:`MorphClass`, with its closure verdicts,
-per distinct class.  :func:`extension_graph` walks no pairs.
+each wfs once per side.  The pairing yields (W, C, F) as masks, and the
+structures share one class per distinct mask, built by
+:meth:`MorphClass.from_mask`.  :func:`extension_graph` walks no pairs; its
+byte lanes take 8× the memory of bitmasks, and no edge costs a Python step.
 
 ``candidates_checked`` counts candidate triples in naive mode and pairs of
 weak factorization systems tried in pruned mode.  The budget bounds the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from itertools import compress, repeat
 from dataclasses import dataclass
 
 from .fincat import FinCat, InputError, Preorder, TheoremViolationError, _bits, require_lattice
@@ -54,10 +56,8 @@ class CensusResult:
         return {ms.triple() for ms in self.structures}
 
     def find(self, W, C, F) -> ModelStructure | None:
-        for ms in self.structures:
-            if ms.triple() == (frozenset(W), frozenset(C), frozenset(F)):
-                return ms
-        return None
+        key = (frozenset(W), frozenset(C), frozenset(F))
+        return next((ms for ms in self.structures if ms.triple() == key), None)
 
 
 def _subsets(pool: list[int]):
@@ -106,9 +106,9 @@ def weak_factorization_systems(
 
 def _pruned_triples(
     cat: FinCat, thin: Preorder, budget: int
-) -> tuple[list[tuple[frozenset[int], frozenset[int], frozenset[int]]], int]:
-    """Model structures (W, C, F) from pairs of weak factorization systems
-    (L₁, R₁) = (C∩W, F) and (L₂, R₂) = (C, F∩W) with L₁ ⊆ L₂ and
+) -> tuple[list[tuple[int, int, int]], int]:
+    """Model structures (W, C, F) as bitmasks, from pairs of weak factorization
+    systems (L₁, R₁) = (C∩W, F) and (L₂, R₂) = (C, F∩W) with L₁ ⊆ L₂ and
     W = R₂∘L₁ satisfying two-out-of-three, and the number of pairs tried.
 
     W∩L₂ = L₁ and W∩R₁ = R₂ need no test: for f = r∘l ∈ L₂ with l ∈ L₁ and
@@ -164,8 +164,7 @@ def _pruned_triples(
                 if held >> j & 1:
                     W_j |= 1 << f
             found.append((W_j, wfs[j][0], R1))
-    members = {m: frozenset(_bits(m)) for m in set(itertools.chain(*found))}
-    return [tuple(members[m] for m in t) for t in found], pairs
+    return found, pairs
 
 
 def enumerate_model_structures(
@@ -183,50 +182,37 @@ def enumerate_model_structures(
     budget = DEFAULT_BUDGET if budget is None else budget
 
     t0 = time.monotonic()
-    checked = 0
-    found: list[tuple[frozenset[int], frozenset[int], frozenset[int]]] = []
+    found: list[tuple[int, int, int]] = []  # (W, C, F) as bitmasks
 
     if mode == "naive":
-        ids = cat.identity_set
-        isos = cat.iso_set
+        ids, isos = cat.identity_set, cat.iso_set
         non_id = [f for f in range(len(cat.morphisms)) if f not in ids]
         non_iso = [f for f in range(len(cat.morphisms)) if f not in isos]
-        total = 2 ** (len(non_iso) + 2 * len(non_id))
-        if total > budget:
-            raise BudgetExceeded(
-                f"{total} candidate triples exceed the budget of {budget}"
-            )
-        for w_extra in _subsets(non_iso):
-            W = isos | w_extra
-            for c_extra in _subsets(non_id):
-                C = ids | c_extra
-                for f_extra in _subsets(non_id):
-                    F = ids | f_extra
-                    checked += 1
-                    report = verify_model_structure(
-                        cat,
-                        MorphClass(cat, W),
-                        MorphClass(cat, C),
-                        MorphClass(cat, F),
-                        stop_at_first=True,
-                    )
-                    if report.passed:
-                        found.append((W, C, F))
+        checked = 2 ** (len(non_iso) + 2 * len(non_id))
+        if checked > budget:
+            raise BudgetExceeded(f"{checked} candidate triples exceed the budget of {budget}")
+        W_s, C_s = [isos | x for x in _subsets(non_iso)], [ids | x for x in _subsets(non_id)]
+        for triple in itertools.product(W_s, C_s, C_s):  # (W, C, F), F ranging as C does
+            classes = [MorphClass(cat, members) for members in triple]
+            if verify_model_structure(cat, *classes, stop_at_first=True).passed:
+                found.append(tuple(cls.mask for cls in classes))
     else:
         found, checked = _pruned_triples(cat, thin, budget)
 
-    # one class per distinct class, ranked so that triples sort as by tuple(map(sorted, t))
-    rank = {m: k for k, m in enumerate(sorted(set(itertools.chain(*found)), key=sorted))}
-    classes = {m: MorphClass(cat, m) for m in rank}
+    # one class per distinct mask; triples of ranks sort as their sorted member lists
+    classes = sorted(
+        (MorphClass.from_mask(cat, m) for m in set(itertools.chain(*found))),
+        key=lambda cls: sorted(cls.members),
+    )
+    rank = {cls.mask: k for k, cls in enumerate(classes)}
     structures = tuple(
         ModelStructure.build(cat, classes[W], classes[C], classes[F])
-        for W, C, F in sorted(found, key=lambda t: (rank[t[0]], rank[t[1]], rank[t[2]]))
+        for W, C, F in sorted((rank[W], rank[C], rank[F]) for W, C, F in found)
     )
     for ms in structures:
         if not ms.verified:
             raise TheoremViolationError(
-                "census structure failed independent re-verification: "
-                f"{ms.report.first_failure()}"
+                f"census structure failed independent re-verification: {ms.report.first_failure()}"
             )
     return CensusResult(cat, mode, structures, checked, time.monotonic() - t0)
 
@@ -262,16 +248,16 @@ class ExtensionGraph:
 
 
 def _containments(masks: list[int], n_maps: int) -> list[tuple[int, int]]:
-    """Per node, the nodes whose class contains its class and those whose
-    class lies inside it (bitmasks), once per distinct class."""
+    """Per node, the nodes whose class contains its class and those whose class
+    lies inside it, once per distinct class, as byte lanes (byte j is 1 for node j)."""
     nodes_of: dict[int, int] = {}  # per distinct class, the nodes that have it
     for i, m in enumerate(masks):
-        nodes_of[m] = nodes_of.get(m, 0) | 1 << i
+        nodes_of[m] = nodes_of.get(m, 0) | 1 << 8 * i
     holds = [0] * n_maps  # per morphism, the nodes whose class holds it
     for m, nodes in nodes_of.items():
         for f in _bits(m):
             holds[f] |= nodes
-    everyone = (1 << len(masks)) - 1
+    everyone = int.from_bytes(b"\1" * len(masks), "little")
     around: dict[int, tuple[int, int]] = {}
     for m in nodes_of:
         contains, outside = everyone, 0
@@ -291,23 +277,21 @@ def extension_graph(census: CensusResult) -> ExtensionGraph:
     nodes whose W, C, F contain (up) or lie inside (in) its own give the
     partners W_up & (C_up | C_in) & (F_up | F_in), and each edge's kind is
     one lookup in the table of kinds by the six containments (W_up = 1).
-    The minimal structure must reach every node through an ll edge;
-    otherwise :class:`TheoremViolationError` is raised."""
-    nodes, n_maps = census.structures, len(census.cat.morphisms)
+    On byte lanes a row's flags and kind codes are two ``int.to_bytes``
+    calls, and ``itertools`` emits its edges.  The minimal structure must
+    ll-reach every node, or :class:`TheoremViolationError` is raised."""
+    nodes, n, n_maps = census.structures, len(census.structures), len(census.cat.morphisms)
     W, C, F = (_containments([getattr(ms, X).mask for ms in nodes], n_maps) for X in "WCF")
     mi = ExtensionGraph(census, nodes, ()).minimal_index
+    kind_of = _KINDS[32:].__getitem__  # by the code W_in C_up C_in F_up F_in, high to low
     edges = []
     for i, ((W_up, W_in), (C_up, C_in), (F_up, F_in)) in enumerate(zip(W, C, F)):
-        partners = W_up & (C_up | C_in) & (F_up | F_in) & ~(1 << i)
+        partners = W_up & (C_up | C_in) & (F_up | F_in) & ~(1 << 8 * i)
         if i == mi:  # ll: W grows, C and F shrink, not all three equal
             ll = partners & C_in & F_in & ~(W_in & C_up & F_up)
-        while partners:
-            low = partners & -partners
-            partners ^= low
-            edges.append((i, low.bit_length() - 1, _KINDS[
-                32 | bool(W_in & low) << 4 | bool(C_up & low) << 3 | bool(C_in & low) << 2
-                | bool(F_up & low) << 1 | bool(F_in & low)
-            ]))
-    if ll != (1 << len(nodes)) - 1 & ~(1 << mi):
+        flags = partners.to_bytes(n, "little")
+        codes = (W_in << 4 | C_up << 3 | C_in << 2 | F_up << 1 | F_in).to_bytes(n, "little")
+        edges += zip(repeat(i), compress(range(n), flags), map(kind_of, compress(codes, flags)))
+    if ll != int.from_bytes(b"\1" * n, "little") & ~(1 << 8 * mi):
         raise TheoremViolationError("minimal structure does not ll-reach every census structure")
     return ExtensionGraph(census, nodes, tuple(edges))

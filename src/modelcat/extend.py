@@ -236,16 +236,18 @@ _THM17 = (
 )
 
 
-def _walks(theorem: str, table, kind: str):
+def _walks(theorem: str, table, kind: str, dual: bool = False):
     """The checker of ``theorem``, named and documented by the decorated stub:
-    one call refuses another kind, walks ``table`` and builds the report,
-    whose ``passed`` is False at the first failure with ``stop_at_first``."""
+    one call refuses another kind, walks ``table`` (on the opposite candidate
+    if ``dual``) and builds the report, False at a ``stop_at_first`` failure."""
 
     def checker(stub):
         @wraps(stub)
         def check(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
             if cand.kind != kind:
                 raise HypothesisError(f"theorem {theorem} candidates must have kind '{kind}'")
+            if dual:
+                cand = _opposite_candidate(cand)
             verdicts = {}
             for name, hypothesis in table:
                 verdict = verdicts[name] = hypothesis(cand)
@@ -261,26 +263,21 @@ def check_thm12(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
     """The eight hypotheses for (W_g, C_g, F_g) to extend the base structure."""
 
 
-def check_thm15(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
-    """Dual hypothesis list (path objects, pullbacks), checked by running
-    the primal checker on the opposite category with (W, F, C) swapped.
-
-    The opposite base is built and verified once per base and read from
-    ``base.opposite``, and the candidate's opposite classes from
-    ``MorphClass.opposite``, so repeated checks share them, their closure
-    verdicts and the tables of the opposite category."""
-    if cand.kind != "ll":
-        raise HypothesisError("theorem 1.5 candidates must have kind 'll'")
+def _opposite_candidate(cand: ExtensionCandidate) -> ExtensionCandidate:
+    """(W_g, F_g, C_g) over the opposite base: Thm 1.5 for ``cand`` as a Thm 1.2 candidate."""
     base_op = cand.base.opposite
     if not base_op.verified:
-        raise TheoremViolationError(
-            "opposite of a verified model structure failed verification"
-        )
-    cand_op = ExtensionCandidate(
-        base_op, cand.W_g.opposite, cand.F_g.opposite, cand.C_g.opposite
-    )
-    report = check_thm12(cand_op, stop_at_first=stop_at_first)
-    return HypothesisReport("1.5", report.verdicts, report.passed)
+        raise TheoremViolationError("opposite of a verified model structure failed verification")
+    return ExtensionCandidate(base_op, cand.W_g.opposite, cand.F_g.opposite, cand.C_g.opposite)
+
+
+@_walks("1.5", _THM12, "ll", dual=True)
+def check_thm15(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
+    """Dual hypothesis list (path objects, pullbacks): the Thm 1.2 table
+    walked on the opposite category with (W, F, C) swapped.  The opposite
+    base (``base.opposite``, verified once per base) and classes
+    (``MorphClass.opposite``) are shared by every check, with their closure
+    verdicts and the tables of the opposite category."""
 
 
 @_walks("1.7", _THM17, "lm")

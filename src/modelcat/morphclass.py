@@ -25,10 +25,11 @@ Each result is cached on the immutable object it describes, so a cache
 lives exactly as long as what its caller keeps: the per-category tables
 and, per (left, right) pair, the :func:`has_lifting` verdict and the
 :func:`factors_all` witness on ``cat.scratch``; closure verdicts
-(``MorphClass.verdicts``) and the members as a bitmask
-(``MorphClass.mask``) and as a class of the opposite category
-(``MorphClass.opposite``) on the class; cofibrant and fibrant objects,
-the verified opposite structure and, per input, the verdicts of Thm 1.2
+(``MorphClass.verdicts``) and the members as a bitmask (``MorphClass.mask``,
+kept as given by :meth:`MorphClass.from_mask`, which the census builds its
+classes with) and as a class of the opposite category (``MorphClass.opposite``)
+on the class; cofibrant and fibrant objects, the verified opposite
+structure and, per input, the verdicts of Thm 1.2
 hypotheses 4-6 and Thm 1.7 hypothesis 6 (``ModelStructure.verdicts``) on
 the structure.  Cached witnesses are read-only, and :meth:`CheckResult.ok`
 returns one shared result per description.
@@ -96,6 +97,15 @@ class MorphClass:
     @classmethod
     def of(cls, cat: FinCat, members: Iterable[int]) -> "MorphClass":
         return cls(cat, frozenset(members))
+
+    @classmethod
+    def from_mask(cls, cat: FinCat, mask: int) -> "MorphClass":
+        """The class of the set bits of ``mask``, kept as its ``mask``."""
+        if mask < 0:
+            raise InputError("class members must be morphisms of the category")
+        self = cls(cat, frozenset(_bits(mask)))
+        self.__dict__["mask"] = mask  # where the cached property keeps it
+        return self
 
     @classmethod
     def all_maps(cls, cat: FinCat) -> "MorphClass":
@@ -386,7 +396,7 @@ def lifting_closure(cat: FinCat, cls: MorphClass, side: str) -> MorphClass:
     if side not in ("llp", "rlp"):
         raise InputError("side must be 'llp' or 'rlp'")
     closure = rlp if side == "rlp" else llp
-    return MorphClass.of(cat, _bits(closure(cat, cls.mask)))
+    return MorphClass.from_mask(cat, closure(cat, cls.mask))
 
 
 def stable_under_transfers(

@@ -12,7 +12,14 @@ tables and ``FinCat.composable_pairs``, in table order.
 
 ``_pair_loop_triples`` is the census pair loop the bit-sliced pairing
 replaced: one pair of weak factorization systems at a time, two-out-of-three
-by :func:`composition_failure` on W's out-masks.  ``_opposite_pullbacks`` is
+by :func:`composition_failure` on W's out-masks.  ``_frozenset_census`` is
+what the census did after the pairing before it ran on masks (frozenset
+classes, a sort by sorted member lists), with each structure verified by
+``_table_verify``, the axiom walk as a table of lambdas; and
+``_rewrapped_thm15`` is Thm 1.5 as a Thm 1.2 report on the opposite
+candidate, re-wrapped.  ``_bit_loop_edges`` is the extension graph as it
+was emitted before byte lanes: containments as bitmasks over the nodes and
+one loop step per edge.  ``_opposite_pullbacks`` is
 the base-change table as the pushout table of the opposite category, and
 ``_walked_functor_issues`` validates a functor by walking every composable
 pair, as ``validate_functor`` does on a category that is not thin, and
@@ -37,8 +44,19 @@ from :func:`colimit` and :func:`limit`: the oracles of the lattice reads
 
 import itertools
 
-from modelcat.census import BudgetExceeded, weak_factorization_systems
-from modelcat.extend import HypothesisError
+from modelcat.census import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    _pruned_triples,
+    weak_factorization_systems,
+)
+from modelcat.extend import (
+    _KINDS,
+    ExtensionCandidate,
+    HypothesisError,
+    HypothesisReport,
+    check_thm12,
+)
 from modelcat.fincat import (
     ConeResult,
     FinCat,
@@ -51,11 +69,21 @@ from modelcat.fincat import (
     opposite,
     require_lattice,
 )
-from modelcat.modelstruct import HoCategory, boundary_objects
+from modelcat.modelstruct import (
+    _NO_FACTORIZATION,
+    AxiomReport,
+    HoCategory,
+    ModelStructure,
+    boundary_objects,
+)
 from modelcat.morphclass import (
     CheckResult,
+    MorphClass,
+    closure_check,
     composition_failure,
+    factors_all,
     factorizations,
+    has_lifting,
     pullback_transfers,
     pushout_transfers,
     retract_pairs,
@@ -243,8 +271,103 @@ def _pair_loop_triples(cat: FinCat, budget: int):
             if composition_failure(thin, W_out, True) is None:
                 W = sum(1 << f for a, c, f in thin.arrows if W_out[a] >> c & 1)
                 found.append((W, L2, R1))
+    return found, pairs
+
+
+def _table_verify(cat: FinCat, W, C, F, stop_at_first: bool = False) -> AxiomReport:
+    """Oracle for ``modelstruct.verify_model_structure``: the axioms as a
+    table of functions, walked in report order, with ``passed`` computed
+    from the verdicts."""
+    require_lattice(cat)
+    trivcof, trivfib = W.mask & C.mask, W.mask & F.mask
+    axioms = (
+        ("two_of_three_W", lambda: closure_check(W, "two_of_three")),
+        ("retracts_W", lambda: closure_check(W, "retracts")),
+        ("retracts_C", lambda: closure_check(C, "retracts")),
+        ("retracts_F", lambda: closure_check(F, "retracts")),
+        ("lift_trivcof_fib", lambda: has_lifting(cat, trivcof, F.mask)),
+        ("lift_cof_trivfib", lambda: has_lifting(cat, C.mask, trivfib)),
+        ("factor_trivcof_fib", lambda: factors_all(cat, trivcof, F.mask, _NO_FACTORIZATION)),
+        ("factor_cof_trivfib", lambda: factors_all(cat, C.mask, trivfib, _NO_FACTORIZATION)),
+    )
+    checks = {}
+    for name, axiom in axioms:
+        verdict = checks[name] = axiom()
+        if stop_at_first and not verdict.passed:
+            break
+    return AxiomReport(checks)
+
+
+def _frozenset_census(cat: FinCat) -> tuple[tuple[ModelStructure, ...], int]:
+    """Oracle for what ``census.enumerate_model_structures`` does after the
+    pairing, as it was done on frozensets: every mask of ``_pruned_triples``
+    becomes a member frozenset, the triples sort by their sorted member
+    lists, each distinct member set gets one class, and each structure is
+    verified by :func:`_table_verify`.  Returns the structures and the
+    pairs tried."""
+    found, pairs = _pruned_triples(cat, require_lattice(cat), DEFAULT_BUDGET)
     members = {m: frozenset(_bits(m)) for m in set(itertools.chain(*found))}
-    return [tuple(members[m] for m in t) for t in found], pairs
+    triples = [tuple(members[m] for m in t) for t in found]
+    rank = {m: k for k, m in enumerate(sorted(set(itertools.chain(*triples)), key=sorted))}
+    classes = {m: MorphClass(cat, m) for m in rank}
+    structures = tuple(
+        ModelStructure(cat, *triple, _table_verify(cat, *triple))
+        for triple in (
+            (classes[W], classes[C], classes[F])
+            for W, C, F in sorted(triples, key=lambda t: (rank[t[0]], rank[t[1]], rank[t[2]]))
+        )
+    )
+    return structures, pairs
+
+
+def _bit_loop_edges(census):
+    """Oracle for ``census.extension_graph``'s edges: per node, the
+    containments as bitmasks over the nodes, one loop over the maps per
+    distinct class, and one step per edge over the partner bits, with the
+    kind looked up in ``extend._KINDS``.  Yields the edges in (i, j) order."""
+    nodes = census.structures
+    everyone = (1 << len(nodes)) - 1
+
+    def containments(masks):
+        holds = [0] * len(census.cat.morphisms)  # per map, the nodes whose class holds it
+        for i, m in enumerate(masks):
+            for f in _bits(m):
+                holds[f] |= 1 << i
+        around = {}
+        for m in set(masks):
+            contains, outside = everyone, 0
+            for f, held in enumerate(holds):
+                if m >> f & 1:
+                    contains &= held
+                else:
+                    outside |= held
+            around[m] = (contains, everyone & ~outside)
+        return [around[m] for m in masks]
+
+    W, C, F = (containments([getattr(ms, X).mask for ms in nodes]) for X in "WCF")
+    for i, ((W_up, W_in), (C_up, C_in), (F_up, F_in)) in enumerate(zip(W, C, F)):
+        partners = W_up & (C_up | C_in) & (F_up | F_in) & ~(1 << i)
+        for j in _bits(partners):
+            bit = 1 << j
+            yield i, j, _KINDS[
+                32 | bool(W_in & bit) << 4 | bool(C_up & bit) << 3 | bool(C_in & bit) << 2
+                | bool(F_up & bit) << 1 | bool(F_in & bit)
+            ]
+
+
+def _rewrapped_thm15(cand, stop_at_first: bool = False) -> HypothesisReport:
+    """Oracle for ``extend.check_thm15``: ``check_thm12`` on the opposite
+    candidate, its report re-wrapped as a "1.5" report."""
+    if cand.kind != "ll":
+        raise HypothesisError("theorem 1.5 candidates must have kind 'll'")
+    base_op = cand.base.opposite
+    if not base_op.verified:
+        raise TheoremViolationError("opposite of a verified model structure failed verification")
+    cand_op = ExtensionCandidate(
+        base_op, cand.W_g.opposite, cand.F_g.opposite, cand.C_g.opposite
+    )
+    report = check_thm12(cand_op, stop_at_first=stop_at_first)
+    return HypothesisReport("1.5", report.verdicts, report.passed)
 
 
 def _opposite_pullbacks(cat: FinCat) -> tuple[tuple[int, int, int], ...]:

@@ -32,7 +32,13 @@ from modelcat.morphclass import (
     composition_failure,
     factor_pairs,
 )
-from oracles import _closure_loop, _pair_loop_triples
+from oracles import (
+    _bit_loop_edges,
+    _closure_loop,
+    _frozenset_census,
+    _pair_loop_triples,
+    _table_verify,
+)
 
 
 def _chain(n):
@@ -371,7 +377,7 @@ def _composite(cat, L, R):
 def _pruned_triples_loop(cat):
     """Oracle for ``_pruned_triples``: each pair's W from the factorization
     pairs, the W∩L₂ = L₁ and W∩R₁ = R₂ filters, and two-out-of-three by
-    ``closure_check`` on a frozenset class."""
+    ``closure_check`` on a frozenset class; the triples as bitmasks."""
     wfs, _ = weak_factorization_systems(cat)
     found, pairs = [], 0
     for L1, R1 in wfs:
@@ -384,7 +390,7 @@ def _pruned_triples_loop(cat):
                 continue
             W_cls = MorphClass(cat, frozenset(_bits(W)))
             if closure_check(W_cls, "two_of_three").passed:
-                found.append((W_cls.members, frozenset(_bits(L2)), frozenset(_bits(R1))))
+                found.append((W_cls.mask, L2, R1))
     return found, pairs
 
 
@@ -498,7 +504,82 @@ def test_chain_distinct_weak_equivalences(n):
 
 
 def test_census_find(arrow_census):
+    """``find`` takes any iterables of ids: a hit and a miss on the arrow,
+    each structure of [4] found from its member lists, and a miss there."""
     ids = frozenset({0, 1})
     alls = frozenset({0, 1, 2})
     assert arrow_census.find(ids, alls, alls) is not None
     assert arrow_census.find(ids, ids, ids) is None
+    result = enumerate_model_structures(_chain(4), "pruned")
+    for ms in result.structures:
+        assert result.find(*(sorted(members, reverse=True) for members in ms.triple())) is ms
+    ids = ms.cat.identity_set
+    assert result.find(ids, ids, ids) is None  # the map 0→4 does not factor
+
+
+@pytest.mark.parametrize("name", PAIRING_INPUTS)
+def test_census_matches_the_frozenset_post_processing(name, request):
+    """The census on masks gives the structures of the frozenset-era
+    post-processing: the same triples in the same order, the same pairs
+    tried and, per structure, the same report as the axiom table walk."""
+    cat = _category(name, request)
+    result = enumerate_model_structures(dataclasses.replace(cat), "pruned")
+    structures, pairs = _frozenset_census(dataclasses.replace(cat))
+    assert result.candidates_checked == pairs
+    assert [ms.triple() for ms in result.structures] == [ms.triple() for ms in structures]
+    for got, want in zip(result.structures, structures):
+        assert got.report == want.report and got.report.passed is want.report.passed is True
+        assert list(got.report.checks) == list(want.report.checks)
+
+
+@pytest.mark.parametrize("name", PAIRING_INPUTS)
+def test_byte_lane_graph_matches_the_bit_loop(name, request):
+    """The edges emitted from byte lanes are the per-edge bit loop's edges,
+    in the same order, with the same shared kinds."""
+    census = enumerate_model_structures(_category(name, request), "pruned")
+    edges = extension_graph(census).edges
+    want = _bit_loop_edges(census)
+    assert all(
+        got == expected and got[2] is expected[2]
+        for got, expected in itertools.zip_longest(edges, want)
+    )
+
+
+@pytest.mark.parametrize("name", ["arrow", "chain2"])
+def test_axiom_walk_matches_the_table_walk(name, request):
+    """On every triple of classes that contain the identities, the
+    straight-line axiom walk gives the table walk's report, in full and up
+    to the first failure."""
+    cat = request.getfixturevalue(name)
+    pools = [cat.iso_set, cat.identity_set, cat.identity_set]
+    rest = [f for f in range(len(cat.morphisms)) if f not in cat.identity_set]
+    subsets = [frozenset(c) for r in range(len(rest) + 1) for c in itertools.combinations(rest, r)]
+    verdicts = set()
+    for W, C, F in itertools.product(subsets, repeat=3):
+        triple = [MorphClass(cat, pool | extra) for pool, extra in zip(pools, (W, C, F))]
+        for stop_at_first in (False, True):
+            got = modelstruct.verify_model_structure(cat, *triple, stop_at_first=stop_at_first)
+            want = _table_verify(cat, *triple, stop_at_first=stop_at_first)
+            assert (got, repr(got), got.passed) == (want, repr(want), want.passed)
+            assert list(got.checks) == list(want.checks)
+            verdicts.add((stop_at_first, len(got.checks), got.passed))
+    assert (False, 8, True) in verdicts and (False, 8, False) in verdicts
+    assert any(stop and length < 8 and not passed for stop, length, passed in verdicts)
+
+
+def test_class_from_mask(diamond):
+    """A class built from its mask is the class of its members: equal, with
+    the same hash and ``repr``, and the given mask kept; a mask with a bit
+    beyond the category's maps, or a negative one, is refused like a member
+    outside the category."""
+    n = len(diamond.morphisms)
+    for mask in (0, 1, 0b1010_0110, (1 << n) - 1):
+        cls = MorphClass.from_mask(diamond, mask)
+        members = MorphClass(diamond, frozenset(_bits(mask)))
+        assert (cls, hash(cls), repr(cls)) == (members, hash(members), repr(members))
+        assert cls.mask == members.mask == mask and vars(cls)["mask"] is mask
+    for mask in (1 << n, (1 << n + 3) | 1, -1):
+        with pytest.raises(InputError, match="class members must be morphisms"):
+            MorphClass.from_mask(diamond, mask)
+    with pytest.raises(InputError, match="class members must be morphisms"):
+        MorphClass(diamond, frozenset({n}))

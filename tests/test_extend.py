@@ -34,7 +34,9 @@ from modelcat.extend import (
     cofibrant_approximation_square,
     lemma11_assumptions,
 )
+from modelcat.census import extension_graph
 from modelcat.fincat import opposite
+from oracles import _rewrapped_thm15
 
 
 def _mid(cat, name):
@@ -234,17 +236,18 @@ def test_thm15_verifies_the_opposite_base_once(diamond, diamond_minimal, monkeyp
 
 
 def test_thm15_shares_the_opposite_classes(diamond, diamond_minimal, diamond_census, monkeypatch):
-    """Two checks over one candidate hand the primal checker the same
-    opposite class objects, cached on the candidate's classes, so the second
-    check reads the first one's closure verdicts."""
+    """Two checks over one candidate walk the Thm 1.2 table on opposite
+    candidates with the same opposite class objects, cached on the
+    candidate's classes, so the second check reads the first one's closure
+    verdicts."""
     seen = []
-    primal = extend_mod.check_thm12
+    dual = extend_mod._opposite_candidate
 
-    def recording(cand, stop_at_first=False):
-        seen.append(cand)
-        return primal(cand, stop_at_first=stop_at_first)
+    def recording(cand):
+        seen.append(dual(cand))
+        return seen[-1]
 
-    monkeypatch.setattr(extend_mod, "check_thm12", recording)
+    monkeypatch.setattr(extend_mod, "_opposite_candidate", recording)
     ms = diamond_census.structures[-1]
     cand = ExtensionCandidate(diamond_minimal, ms.W, ms.C, ms.F)
     first, second = check_thm15(cand), check_thm15(cand)
@@ -289,6 +292,26 @@ def test_thm15_verdicts_match_rebuilding_oracle(diamond, diamond_minimal, diamon
         assert short.verdicts == {k: want.verdicts[k] for k in keys}
         assert (short.theorem, short.passed, short.first_failure()) == ("1.5", want.passed, first)
     assert len(candidates) > 1000 and 0 < passed < len(candidates)
+
+
+@pytest.mark.parametrize("census_name", ["diamond_census", "bool3_census"])
+def test_thm15_matches_the_rewrapped_thm12_route(census_name, request):
+    """On every ll edge of the extension graph, the Thm 1.5 walk gives the
+    report of the old route (a Thm 1.2 report on the opposite candidate,
+    re-wrapped as "1.5"), in full and with stop-at-first."""
+    census = request.getfixturevalue(census_name)
+    nodes = census.structures
+    edges = [(i, j) for i, j, kind in extension_graph(census).edges if kind.kind == "ll"]
+    outcomes = set()
+    for i, j in edges:
+        cand = ExtensionCandidate(nodes[i], nodes[j].W, nodes[j].C, nodes[j].F)
+        for stop_at_first in (True, False):
+            got = check_thm15(cand, stop_at_first=stop_at_first)
+            want = _rewrapped_thm15(cand, stop_at_first=stop_at_first)
+            assert (got, repr(got), got.passed) == (want, repr(want), want.passed)
+            assert list(got.verdicts) == list(want.verdicts)
+            outcomes.add((stop_at_first, got.passed))
+    assert len(edges) >= 92 and outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_thm17_requires_lm_kind(diamond_minimal):

@@ -17,7 +17,10 @@ TESTS = Path(__file__).resolve().parent
 
 @pytest.mark.parametrize(
     "test_file",
-    ["test_acceptance.py", "test_hypothesis_tables.py", "test_morphclass.py", "test_refusal.py"],
+    [
+        "test_acceptance.py", "test_census.py", "test_hypothesis_tables.py",
+        "test_morphclass.py", "test_refusal.py",
+    ],
 )
 def test_file_under_optimize(test_file):
     src = str(Path(modelcat.__file__).resolve().parent.parent)
