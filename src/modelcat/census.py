@@ -199,12 +199,10 @@ def enumerate_model_structures(
     else:
         found, checked = _pruned_triples(cat, thin, budget)
 
-    # one class per distinct mask; triples of ranks sort as their sorted member lists
-    classes = sorted(
-        (MorphClass.from_mask(cat, m) for m in set(itertools.chain(*found))),
-        key=lambda cls: sorted(cls.members),
-    )
-    rank = {cls.mask: k for k, cls in enumerate(classes)}
+    # one class per distinct mask, ranked by its bits in ascending order (its sorted members)
+    masks = sorted(set(itertools.chain(*found)), key=lambda m: list(_bits(m)))
+    classes = [MorphClass.from_mask(cat, m) for m in masks]
+    rank = {m: k for k, m in enumerate(masks)}
     structures = tuple(
         ModelStructure.build(cat, classes[W], classes[C], classes[F])
         for W, C, F in sorted((rank[W], rank[C], rank[F]) for W, C, F in found)
@@ -240,9 +238,10 @@ class ExtensionGraph:
 
     @property
     def minimal_index(self) -> int:
+        cat = self.census.cat
+        isos, everything = MorphClass.isos(cat).mask, (1 << len(cat.morphisms)) - 1
         for i, ms in enumerate(self.nodes):
-            everything = (1 << len(ms.cat.morphisms)) - 1
-            if ms.W.members == ms.cat.iso_set and ms.C.mask == ms.F.mask == everything:
+            if ms.W.mask == isos and ms.C.mask == ms.F.mask == everything:
                 return i
         raise InputError("census does not contain the minimal structure")
 

@@ -1,15 +1,18 @@
 """Hypothesis checkers and constructive engines for extending model structures.
 
 The hypotheses of Thm 1.2 and Thm 1.7 are module-level tables
-(``_THM12``, ``_THM17``) of private functions of the candidate, and
-:func:`check_thm12` / :func:`check_thm17` each walk their table and build
-the :class:`HypothesisReport` in one call.  A hypothesis reads a cached
+(``_THM12``, ``_THM17``) of private functions of the four parts of a
+candidate (base, W_g, C_g, F_g), and :func:`check_thm12` /
+:func:`check_thm17` each walk their table and build the
+:class:`HypothesisReport` in one call.  A hypothesis reads a cached
 verdict with one lookup and decides only on a miss: closure verdicts on
 each class (``MorphClass.verdicts``), :func:`has_lifting` and
 :func:`factors_all` per pair of masks, and hypotheses 4-6 of 1.2 and 6 of
 1.7 per base and the masks they read (``base.verdicts``): a check builds
 no class, and a scan decides each hypothesis once per distinct input.
-Thm 1.5 runs the 1.2 table on the opposite base and classes.
+Thm 1.5 walks the 1.2 table over the opposite base and classes, C_g and
+F_g swapped; ``opposite(cat)`` keeps the morphism ids, so the candidate's
+containments hold there too, and no second candidate is built.
 
 Every (co)limit, the point maps ∅→x of hypothesis 4, the fold maps of
 hypothesis 5 and the pushouts of the constructive engines, is a join of
@@ -43,6 +46,8 @@ from .morphclass import (
     lifting_closure,
     pushout_transfers,
     pullback_transfers,
+    require_ids,
+    require_over,
     stable_under_transfers,
 )
 from .modelstruct import ModelStructure, find_cylinder
@@ -75,15 +80,12 @@ class ExtensionCandidate:
             raise InputError("candidate kind must be 'll' or 'lm'")
         if not self.base.verified:
             raise HypothesisError("base model structure is not verified")
-        cat = self.base.cat
-        for cls in (self.W_g, self.C_g, self.F_g):
-            if cls.cat is not cat and cls.cat != cat:
-                raise InputError("classes live over different categories")
-        if not (self.base.W.members <= self.W_g.members):
+        require_over(self.base.cat, self.W_g, self.C_g, self.F_g)
+        if self.base.W.mask & ~self.W_g.mask:
             raise HypothesisError("W ⊆ W_g fails")
-        if not (self.C_g.members <= self.base.C.members):
+        if self.C_g.mask & ~self.base.C.mask:
             raise HypothesisError("C_g ⊆ C fails")
-        if not (inner.members <= outer.members):
+        if inner.mask & ~outer.mask:
             raise HypothesisError("F_g ⊆ F fails" if self.kind == "ll" else "F ⊆ F_g fails")
 
 
@@ -121,57 +123,36 @@ _PUSHOUTS_OK = CheckResult.ok("composition; pushouts")
 _PULLBACKS_OK = CheckResult.ok("composition; pullbacks")
 
 
-def _two_of_three(cand: ExtensionCandidate) -> CheckResult:
-    return cand.W_g.verdicts.get("two_of_three") or closure_check(cand.W_g, "two_of_three")
+def _two_of_three(base, W_g, C_g, F_g) -> CheckResult:
+    return W_g.verdicts.get("two_of_three") or closure_check(W_g, "two_of_three")
 
 
-def _retracts(cand: ExtensionCandidate) -> CheckResult:
-    for cls in (cand.W_g, cand.C_g, cand.F_g):
+def _retracts(base, W_g, C_g, F_g) -> CheckResult:
+    for cls in (W_g, C_g, F_g):
         verdict = cls.verdicts.get("retracts") or closure_check(cls, "retracts")
         if not verdict.passed:
             return verdict
     return _RETRACTS_OK
 
 
-def _c_g_pushouts(cand: ExtensionCandidate) -> CheckResult:
-    C_g = cand.C_g
+def _c_g_pushouts(base, W_g, C_g, F_g) -> CheckResult:
     verdict = C_g.verdicts.get("composition") or closure_check(C_g, "composition")
     if verdict.passed:
         verdict = C_g.verdicts.get("pushouts") or closure_check(C_g, "pushouts")
     return _PUSHOUTS_OK if verdict.passed else verdict
 
 
-def _f_g_pullbacks(cand: ExtensionCandidate) -> CheckResult:
-    F_g = cand.F_g
+def _f_g_pullbacks(base, W_g, C_g, F_g) -> CheckResult:
     verdict = F_g.verdicts.get("composition") or closure_check(F_g, "composition")
     if verdict.passed:
         verdict = F_g.verdicts.get("pullbacks") or closure_check(F_g, "pullbacks")
     return _PULLBACKS_OK if verdict.passed else verdict
 
 
-def _per_base(base: ModelStructure, key: tuple) -> CheckResult:
-    """Decide ``key = (decide, *inputs)`` on the base and keep it in ``base.verdicts``."""
-    return base.verdicts.setdefault(key, key[0](base, *key[1:]))
-
-
-def _point_maps(cand: ExtensionCandidate) -> CheckResult:
-    key = (_cofibrant_coincidence, cand.C_g.mask)
-    return cand.base.verdicts.get(key) or _per_base(cand.base, key)
-
-
-def _fold_maps(cand: ExtensionCandidate) -> CheckResult:
-    key = (_cylinders, cand.C_g.mask, cand.W_g.mask)
-    return cand.base.verdicts.get(key) or _per_base(cand.base, key)
-
-
-def _w_pushouts(cand: ExtensionCandidate) -> CheckResult:
-    key = (_w_pushout_stable, cand.C_g.mask)
-    return cand.base.verdicts.get(key) or _per_base(cand.base, key)
-
-
-def _right_proper(cand: ExtensionCandidate) -> CheckResult:
-    key = (check_properness, "right")
-    return cand.base.verdicts.get(key) or _per_base(cand.base, key)
+def _per_base(base: ModelStructure, decide, *inputs) -> CheckResult:
+    """``decide(base, *inputs)``, decided once per base and inputs, kept in ``base.verdicts``."""
+    key = (decide, *inputs)
+    return base.verdicts.get(key) or base.verdicts.setdefault(key, decide(base, *inputs))
 
 
 def _cofibrant_coincidence(base: ModelStructure, C_g: int) -> CheckResult:
@@ -213,13 +194,12 @@ _THM12 = (
     ("1", _two_of_three),
     ("2", _retracts),
     ("3", _c_g_pushouts),
-    ("4", _point_maps),
-    ("5", _fold_maps),
-    ("6", _w_pushouts),
-    ("7", lambda cand: has_lifting(cand.base.cat, cand.C_g.mask & cand.W_g.mask, cand.F_g.mask)),
-    ("8", lambda cand: factors_all(
-        cand.base.cat, cand.C_g.mask & cand.W_g.mask, cand.F_g.mask,
-        "no (C_g∩W_g, F_g) factorization",
+    ("4", lambda base, W_g, C_g, F_g: _per_base(base, _cofibrant_coincidence, C_g.mask)),
+    ("5", lambda base, W_g, C_g, F_g: _per_base(base, _cylinders, C_g.mask, W_g.mask)),
+    ("6", lambda base, W_g, C_g, F_g: _per_base(base, _w_pushout_stable, C_g.mask)),
+    ("7", lambda base, W_g, C_g, F_g: has_lifting(base.cat, C_g.mask & W_g.mask, F_g.mask)),
+    ("8", lambda base, W_g, C_g, F_g: factors_all(
+        base.cat, C_g.mask & W_g.mask, F_g.mask, "no (C_g∩W_g, F_g) factorization"
     )),
 )
 
@@ -227,30 +207,35 @@ _THM17 = (
     ("1", _two_of_three),
     ("2", _retracts),
     ("3", _f_g_pullbacks),
-    ("4", lambda cand: has_lifting(cand.base.cat, cand.C_g.mask, cand.F_g.mask & cand.W_g.mask)),
-    ("5", lambda cand: factors_all(
-        cand.base.cat, cand.C_g.mask, cand.F_g.mask & cand.W_g.mask,
-        "no (C_g, F_g∩W_g) factorization",
+    ("4", lambda base, W_g, C_g, F_g: has_lifting(base.cat, C_g.mask, F_g.mask & W_g.mask)),
+    ("5", lambda base, W_g, C_g, F_g: factors_all(
+        base.cat, C_g.mask, F_g.mask & W_g.mask, "no (C_g, F_g∩W_g) factorization"
     )),
-    ("6", _right_proper),
+    ("6", lambda base, W_g, C_g, F_g: _per_base(base, check_properness, "right")),
 )
 
 
 def _walks(theorem: str, table, kind: str, dual: bool = False):
     """The checker of ``theorem``, named and documented by the decorated stub:
-    one call refuses another kind, walks ``table`` (on the opposite candidate
-    if ``dual``) and builds the report, False at a ``stop_at_first`` failure."""
+    one call refuses another kind, walks ``table`` over (base, W_g, C_g, F_g),
+    or if ``dual`` over their opposites with C_g and F_g swapped, and builds
+    the report, False at a ``stop_at_first`` failure."""
 
     def checker(stub):
         @wraps(stub)
         def check(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
             if cand.kind != kind:
                 raise HypothesisError(f"theorem {theorem} candidates must have kind '{kind}'")
+            base, W_g, C_g, F_g = cand.base, cand.W_g, cand.C_g, cand.F_g
             if dual:
-                cand = _opposite_candidate(cand)
+                base, W_g, C_g, F_g = base.opposite, W_g.opposite, F_g.opposite, C_g.opposite
+                if not base.verified:
+                    raise TheoremViolationError(
+                        "opposite of a verified model structure failed verification"
+                    )
             verdicts = {}
             for name, hypothesis in table:
-                verdict = verdicts[name] = hypothesis(cand)
+                verdict = verdicts[name] = hypothesis(base, W_g, C_g, F_g)
                 if not verdict.passed and stop_at_first:
                     return HypothesisReport(theorem, verdicts, False)
             return HypothesisReport(theorem, verdicts)
@@ -263,21 +248,13 @@ def check_thm12(cand: ExtensionCandidate, stop_at_first: bool = False) -> Hypoth
     """The eight hypotheses for (W_g, C_g, F_g) to extend the base structure."""
 
 
-def _opposite_candidate(cand: ExtensionCandidate) -> ExtensionCandidate:
-    """(W_g, F_g, C_g) over the opposite base: Thm 1.5 for ``cand`` as a Thm 1.2 candidate."""
-    base_op = cand.base.opposite
-    if not base_op.verified:
-        raise TheoremViolationError("opposite of a verified model structure failed verification")
-    return ExtensionCandidate(base_op, cand.W_g.opposite, cand.F_g.opposite, cand.C_g.opposite)
-
-
 @_walks("1.5", _THM12, "ll", dual=True)
 def check_thm15(cand: ExtensionCandidate, stop_at_first: bool = False) -> HypothesisReport:
     """Dual hypothesis list (path objects, pullbacks): the Thm 1.2 table
-    walked on the opposite category with (W, F, C) swapped.  The opposite
-    base (``base.opposite``, verified once per base) and classes
-    (``MorphClass.opposite``) are shared by every check, with their closure
-    verdicts and the tables of the opposite category."""
+    walked over the opposite category with (W_g, F_g, C_g) in the places of
+    (W_g, C_g, F_g).  The opposite base (``base.opposite``, verified once per
+    base) and classes (``MorphClass.opposite``) are shared by every check,
+    with their closure verdicts and the tables of the opposite category."""
 
 
 @_walks("1.7", _THM17, "lm")
@@ -340,7 +317,7 @@ def lemma11_lift(
     failed = {k: v for k, v in assumptions.items() if not v.passed}
     if failed:
         raise HypothesisError(f"lemma assumptions fail: {failed}")
-    if square.i not in C.members:
+    if square.i not in C:
         raise HypothesisError("left leg is not in C")
     trivfib = F.mask & W.mask
     if not trivfib >> square.p & 1:
@@ -358,7 +335,7 @@ def lemma11_lift(
     e_to_y = po.arrow[e][cat.tgt(q)]
     j2, q2 = first_factorization(cat, e_to_y, C.mask, trivfib)
     j = cat.comp(j2, leg_d)  # D→F, lands in C∩W
-    if j not in C.members or j not in W.members:
+    if j not in C or j not in W:
         raise TheoremViolationError("constructed map failed C∩W membership")
 
     inner = SquareLiftProblem(cat, j, q, q1, q2)
@@ -400,6 +377,7 @@ def mapping_cylinder_factorization(cand: ExtensionCandidate, g: int) -> MappingC
     """Factor a map between cofibrant objects as C_g-map then W_g-map by
     gluing a cylinder of its source onto its target with pushouts."""
     base, cat = cand.base, cand.base.cat
+    require_ids("morphism", len(cat.morphisms), g)
     x, y = cat.src(g), cat.tgt(g)
     cof = base.cofibrant
     if x not in cof or y not in cof:
@@ -428,9 +406,9 @@ def mapping_cylinder_factorization(cand: ExtensionCandidate, g: int) -> MappingC
     if cat.comp(p_g, pi) != cat.comp(g, cyl.collapse):
         raise TheoremViolationError("mapping cylinder square does not commute")
 
-    if i_g not in cand.C_g.members:
+    if i_g not in cand.C_g:
         raise TheoremViolationError("i_g is not in C_g")
-    if p_g not in cand.W_g.members:
+    if p_g not in cand.W_g:
         raise TheoremViolationError("p_g is not in W_g")
     if j_g not in cand.C_g or j_g not in cand.W_g:
         raise TheoremViolationError("j_g is not in C_g∩W_g")
@@ -471,6 +449,7 @@ def cofibrant_approximation_square(base: ModelStructure, f: int) -> CofApproxSqu
     """Replace the endpoints of f by cofibrant objects using base
     (C, F∩W) factorizations of the point maps, and lift to fill the square."""
     cat = base.cat
+    require_ids("morphism", len(cat.morphisms), f)
     trivfib = base.F.mask & base.W.mask
     x, y = cat.src(f), cat.tgt(f)
     po = require_lattice(cat)
@@ -497,9 +476,8 @@ def factor_c_then_trivfib(cand: ExtensionCandidate, f: int):
     (C_g∩W_g, F_g) factorization.  Returns (Factorization, CofApproxSquare,
     MappingCylinder)."""
     base, cat = cand.base, cand.base.cat
+    approx = cofibrant_approximation_square(base, f)  # refuses an unknown f
     x, y = cat.src(f), cat.tgt(f)
-
-    approx = cofibrant_approximation_square(base, f)
     mc = mapping_cylinder_factorization(cand, approx.f_tilde)
 
     po = require_lattice(cat)
@@ -514,7 +492,7 @@ def factor_c_then_trivfib(cand: ExtensionCandidate, f: int):
     i = cat.comp(j3, leg_x)
     if cat.comp(q, i) != f:
         raise TheoremViolationError("constructed factorization does not compose to f")
-    if i not in cand.C_g.members:
+    if i not in cand.C_g:
         raise TheoremViolationError("left factor is not in C_g")
     if q not in cand.F_g or q not in cand.W_g:
         raise TheoremViolationError("right factor is not in F_g∩W_g")
@@ -545,10 +523,10 @@ def prop14_build(
     four hypotheses of the lifting-derived variation; on a full pass the
     triple is additionally verified as a model structure."""
     cat = base.cat
-    if not (base.W.members <= W_prime.members <= W_g.members):
+    if not base.W <= W_prime <= W_g:
         raise HypothesisError("need W ⊆ W' ⊆ W_g")
-    F_g = lifting_closure(cat, MorphClass(cat, base.C.members & W_prime.members), "rlp")
-    C_g = lifting_closure(cat, MorphClass(cat, F_g.members & W_g.members), "llp")
+    F_g = lifting_closure(cat, base.C & W_prime, "rlp")
+    C_g = lifting_closure(cat, F_g & W_g, "llp")
 
     verdicts = {
         "1": combine(
@@ -624,13 +602,14 @@ def check_invariance(sub: MorphClass, super_: MorphClass, W: MorphClass) -> Chec
     agrees.  On a lattice every square commutes, and its horizontal legs
     are the one arrow between the sources and the one between the targets."""
     po = require_lattice(sub.cat)
-    if not (sub.members <= super_.members):
+    require_over(sub.cat, W)
+    if not sub <= super_:
         raise HypothesisError("need sub ⊆ super")
-    arrow, ends, members = po.arrow, po.ends, sorted(super_.members)
+    arrow, ends, members = po.arrow, po.ends, list(_bits(super_.mask))
     for f in members:
         for g in members:
             u, v = arrow[ends[f][0]][ends[g][0]], arrow[ends[f][1]][ends[g][1]]
-            if u in W.members and v in W.members and (f in sub.members) != (g in sub.members):
+            if u in W and v in W and (f in sub) != (g in sub):
                 return CheckResult.fail("membership not invariant", f=f, g=g, u=u, v=v)
     return CheckResult.ok("invariant")
 

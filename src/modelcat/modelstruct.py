@@ -33,6 +33,8 @@ from .morphclass import (
     factors_all,
     first_factorization,
     has_lifting,
+    require_ids,
+    require_over,
 )
 
 _NO_FACTORIZATION = "morphism admits no factorization"
@@ -76,8 +78,7 @@ def verify_model_structure(
     and finitely bicomplete is refused (:func:`require_lattice`).
     """
     require_lattice(cat)
-    if any(cls.cat is not cat and cls.cat != cat for cls in (W, C, F)):
-        raise InputError("classes live over different categories")
+    require_over(cat, W, C, F)
     w, c, f = W.mask, C.mask, F.mask
     checks = {}
     v1 = checks["two_of_three_W"] = W.verdicts.get("two_of_three") or closure_check(W, "two_of_three")
@@ -212,6 +213,8 @@ def find_cylinder(
     parts land in the given classes; for the path side pass (W, F) and the
     factorization read is diagonal = (right part)∘(left part)."""
     po = require_lattice(cat)
+    require_over(cat, left, right)
+    require_ids("object", len(cat.objects), x)
     if side == "cylinder":
         power = po.join(x, x)
         leg, f = po.arrow[x][power], po.arrow[power][x]  # injection, fold map
@@ -242,6 +245,7 @@ class HoCategory:
 
     def cls_of(self, f: int) -> frozenset[int]:
         cat = self.ms.cat
+        require_ids("morphism", len(cat.morphisms), f)
         for c in self.homs.get((cat.src(f), cat.tgt(f)), ()):
             if f in c:
                 return c
@@ -258,6 +262,7 @@ def left_homotopic(ms: ModelStructure, f: int, g: int) -> bool:
     parallel maps are equal and a cylinder X⊔X → Cyl → X gives the
     homotopy Cyl → X → Y, so this holds iff X has a cylinder."""
     cat = ms.cat
+    require_ids("morphism", len(cat.morphisms), f, g)
     if cat.src(f) != cat.src(g) or cat.tgt(f) != cat.tgt(g):
         raise InputError("morphisms must be parallel")
     return find_cylinder(cat, ms.C, ms.W, cat.src(f)) is not None
@@ -267,6 +272,7 @@ def right_homotopic(ms: ModelStructure, f: int, g: int) -> bool:
     """f ~ g via some path object of the shared target; dual of
     :func:`left_homotopic`, so it holds iff Y has a path object."""
     cat = ms.cat
+    require_ids("morphism", len(cat.morphisms), f, g)
     if cat.src(f) != cat.src(g) or cat.tgt(f) != cat.tgt(g):
         raise InputError("morphisms must be parallel")
     return find_cylinder(cat, ms.W, ms.F, cat.tgt(f), "path") is not None

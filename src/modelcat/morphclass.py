@@ -1,7 +1,8 @@
 """Morphism classes and the decision procedures every axiom check reduces to.
 
-This module is the only reader of the per-category tables, and each
-reader takes its classes as ``int`` bitmasks over morphism ids
+A class is one ``int`` bitmask over morphism ids (``MorphClass.mask``).
+This module is the only reader of the per-category tables and of a
+class's members, and each table reader takes its classes as bitmasks
 (``MorphClass.mask``, or ``C.mask & W.mask`` for C∩W), so a caller builds
 no class:
 
@@ -25,10 +26,9 @@ Each result is cached on the immutable object it describes, so a cache
 lives exactly as long as what its caller keeps: the per-category tables
 and, per (left, right) pair, the :func:`has_lifting` verdict and the
 :func:`factors_all` witness on ``cat.scratch``; closure verdicts
-(``MorphClass.verdicts``) and the members as a bitmask (``MorphClass.mask``,
-kept as given by :meth:`MorphClass.from_mask`, which the census builds its
-classes with) and as a class of the opposite category (``MorphClass.opposite``)
-on the class; cofibrant and fibrant objects, the verified opposite
+(``MorphClass.verdicts``), the members as a frozenset (``MorphClass.members``)
+and the same bits as a class of the opposite category
+(``MorphClass.opposite``) on the class; cofibrant and fibrant objects, the verified opposite
 structure and, per input, the verdicts of Thm 1.2
 hypotheses 4-6 and Thm 1.7 hypothesis 6 (``ModelStructure.verdicts``) on
 the structure.  Cached witnesses are read-only, and :meth:`CheckResult.ok`
@@ -58,58 +58,64 @@ from .fincat import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class MorphClass:
-    """A subset of the morphisms of a fixed category.
-
+    """A subset of the morphisms of a fixed category, stored as the bitmask
+    ``mask`` (bit f set iff f is a member): ``MorphClass(cat, members)``
+    takes any iterable of morphism ids and :meth:`from_mask` a bitmask.
     ``verdicts`` caches :func:`closure_check` results by property,
-    ``mask`` holds the members as an ``int`` bitmask and ``opposite`` the
-    same members over the opposite category; none of them takes part in
-    equality, hashing or ``repr``, and ``dataclasses.replace`` starts them
-    afresh.
-    """
+    ``members`` holds the set bits as a frozenset and ``opposite`` the same
+    bits over the opposite category; none of them takes part in equality
+    or hashing."""
 
     cat: FinCat
-    members: frozenset[int]
-    verdicts: dict[str, CheckResult] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    mask: int
+    verdicts: dict[str, CheckResult] = field(compare=False)
 
-    def __post_init__(self):
-        members = self.members
-        if members and (min(members) < 0 or max(members) >= len(self.cat.morphisms)):
+    def __init__(self, cat: FinCat, members: Iterable[int]):
+        mask = 0
+        for f in members:
+            mask |= 1 << f if f >= 0 else -1  # a negative mask is refused below
+        vars(self).update(cat=cat, mask=mask, verdicts={})
+        self.__post_init__()
+
+    def __post_init__(self):  # the range check both constructors end with
+        if self.mask >> len(self.cat.morphisms):  # also true of a negative mask
             raise InputError("class members must be morphisms of the category")
 
+    def __repr__(self) -> str:
+        return f"MorphClass(cat={self.cat!r}, members={self.members!r})"
+
     @cached_property
-    def mask(self) -> int:
-        """``members`` as a bitmask: bit ``f`` is set iff ``f`` is a member."""
-        return sum(1 << f for f in self.members)
+    def members(self) -> frozenset[int]:
+        """The set bits of ``mask``."""
+        return frozenset(_bits(self.mask))
 
     @cached_property
     def opposite(self) -> "MorphClass":
-        """The same members as a class of ``opposite(cat)``, built once, so
-        its closure verdicts are shared by every reader."""
+        """The same bits as a class of ``opposite(cat)``, which keeps the
+        morphism ids, built once, so its closure verdicts are shared by
+        every reader."""
         from .fincat import opposite  # the one opposite category this module builds
-        return MorphClass(opposite(self.cat), self.members)
+        return MorphClass.from_mask(opposite(self.cat), self.mask)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def of(cls, cat: FinCat, members: Iterable[int]) -> "MorphClass":
-        return cls(cat, frozenset(members))
+        return cls(cat, members)
 
     @classmethod
     def from_mask(cls, cat: FinCat, mask: int) -> "MorphClass":
-        """The class of the set bits of ``mask``, kept as its ``mask``."""
-        if mask < 0:
-            raise InputError("class members must be morphisms of the category")
-        self = cls(cat, frozenset(_bits(mask)))
-        self.__dict__["mask"] = mask  # where the cached property keeps it
+        """The class of the set bits of ``mask``."""
+        self = cls.__new__(cls)
+        vars(self).update(cat=cat, mask=mask, verdicts={})
+        self.__post_init__()
         return self
 
     @classmethod
     def all_maps(cls, cat: FinCat) -> "MorphClass":
-        return cls(cat, frozenset(range(len(cat.morphisms))))
+        return cls.from_mask(cat, (1 << len(cat.morphisms)) - 1)
 
     @classmethod
     def identities(cls, cat: FinCat) -> "MorphClass":
@@ -121,40 +127,49 @@ class MorphClass:
 
     @classmethod
     def empty(cls, cat: FinCat) -> "MorphClass":
-        return cls(cat, frozenset())
+        return cls.from_mask(cat, 0)
 
     # -- set algebra ----------------------------------------------------
 
     def __contains__(self, f: int) -> bool:
-        return f in self.members
+        return f >= 0 and self.mask >> f & 1 == 1
 
     def __and__(self, other: "MorphClass") -> "MorphClass":
-        self._same_cat(other)
-        return MorphClass(self.cat, self.members & other.members)
+        require_over(self.cat, other)
+        return MorphClass.from_mask(self.cat, self.mask & other.mask)
 
     def __or__(self, other: "MorphClass") -> "MorphClass":
-        self._same_cat(other)
-        return MorphClass(self.cat, self.members | other.members)
+        require_over(self.cat, other)
+        return MorphClass.from_mask(self.cat, self.mask | other.mask)
 
     def __le__(self, other: "MorphClass") -> bool:
-        self._same_cat(other)
-        return self.members <= other.members
+        require_over(self.cat, other)
+        return not self.mask & ~other.mask
 
     def __lt__(self, other: "MorphClass") -> bool:
-        self._same_cat(other)
-        return self.members < other.members
+        return self <= other and self.mask != other.mask
 
     def complement(self) -> "MorphClass":
-        return MorphClass(
-            self.cat, frozenset(range(len(self.cat.morphisms))) - self.members
+        return MorphClass.from_mask(
+            self.cat, (1 << len(self.cat.morphisms)) - 1 & ~self.mask
         )
 
     def names(self) -> tuple[str, ...]:
-        return tuple(self.cat.name(f) for f in sorted(self.members))
+        return tuple(self.cat.name(f) for f in _bits(self.mask))
 
-    def _same_cat(self, other: "MorphClass") -> None:
-        if self.cat is not other.cat and self.cat != other.cat:
+
+def require_over(cat: FinCat, *classes: MorphClass) -> None:
+    """Refuse, with :class:`InputError`, a class over another category than ``cat``."""
+    for cls in classes:
+        if cls.cat is not cat and cls.cat != cat:
             raise InputError("classes live over different categories")
+
+
+def require_ids(kind: str, count: int, *ids: int) -> None:
+    """Refuse an id outside ``range(count)``, which indexing would wrap at -1."""
+    for i in ids:
+        if not 0 <= i < count:
+            raise InputError(f"no {kind} with id {i}")
 
 
 @dataclass(frozen=True)
@@ -395,6 +410,7 @@ def lifting_closure(cat: FinCat, cls: MorphClass, side: str) -> MorphClass:
     """side='rlp': maps with the right lifting property against cls; 'llp' dual."""
     if side not in ("llp", "rlp"):
         raise InputError("side must be 'llp' or 'rlp'")
+    require_over(cat, cls)
     closure = rlp if side == "rlp" else llp
     return MorphClass.from_mask(cat, closure(cat, cls.mask))
 
@@ -474,6 +490,8 @@ def enumerate_factorizations(
     cat: FinCat, f: int, left: MorphClass, right: MorphClass
 ) -> list[Factorization]:
     """All factorizations f = p∘j with j ∈ left and p ∈ right, in scan order."""
+    require_over(cat, left, right)
+    require_ids("morphism", len(cat.morphisms), f)
     return [
         Factorization(cat, f, j, cat.tgt(j), p)
         for j, p in factorizations(cat, f, left.mask, right.mask)

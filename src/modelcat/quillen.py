@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fincat import FinCat, InputError, TheoremViolationError, require_lattice
+from .fincat import FinCat, InputError, TheoremViolationError, _bits, require_lattice
 from .morphclass import CheckResult, first_factorization
 from .modelstruct import ModelStructure, boundary_objects
 
@@ -133,22 +133,22 @@ def is_quillen_pair(
         raise InputError("model structures do not match the adjunction")
 
     left = CheckResult.ok("left condition")
-    for f in sorted(msM.C.members):
+    for f in _bits(msM.C.mask):
         sf = adj.S.on_mor(f)
-        if sf not in msN.C.members:
+        if sf not in msN.C:
             left = CheckResult.fail("S does not preserve cofibrations", f=f)
             break
-        if f in msM.W.members and sf not in msN.W.members:
+        if f in msM.W and sf not in msN.W:
             left = CheckResult.fail("S does not preserve trivial cofibrations", f=f)
             break
 
     right = CheckResult.ok("right condition")
-    for f in sorted(msN.F.members):
+    for f in _bits(msN.F.mask):
         tf = adj.T.on_mor(f)
-        if tf not in msM.F.members:
+        if tf not in msM.F:
             right = CheckResult.fail("T does not preserve fibrations", f=f)
             break
-        if f in msN.W.members and tf not in msM.W.members:
+        if f in msN.W and tf not in msM.W:
             right = CheckResult.fail("T does not preserve trivial fibrations", f=f)
             break
 
@@ -159,8 +159,7 @@ def is_quillen_pair(
 
 def _cofibrant_approx_map(ms: ModelStructure, x: int) -> int:
     """Canonical C̃x → x from the first (C, F∩W) factorization of ∅→x."""
-    cat = ms.cat
-    po = require_lattice(cat)
+    cat, po = ms.cat, require_lattice(ms.cat)
     pair = first_factorization(cat, po.arrow[po.join()][x], ms.C.mask, ms.F.mask & ms.W.mask)
     if pair is None:
         raise InputError("no cofibrant approximation available")
@@ -169,8 +168,7 @@ def _cofibrant_approx_map(ms: ModelStructure, x: int) -> int:
 
 def _fibrant_approx_map(ms: ModelStructure, x: int) -> int:
     """Canonical x → F̃x from the first (C∩W, F) factorization of x→∗."""
-    cat = ms.cat
-    po = require_lattice(cat)
+    cat, po = ms.cat, require_lattice(ms.cat)
     pair = first_factorization(cat, po.arrow[x][po.meet()], ms.C.mask & ms.W.mask, ms.F.mask)
     if pair is None:
         raise InputError("no fibrant approximation available")
@@ -208,7 +206,7 @@ def derived_fullfaithful_check(
             tx = adj.T.on_obj(x)
             c = _cofibrant_approx_map(msM, tx)  # C̃TX → TX
             composite = N.comp(adj.counit[x], adj.S.on_mor(c))
-            if composite not in msN.W.members:
+            if composite not in msN.W:
                 return CheckResult.fail(
                     "derived counit is not a weak equivalence", object=x,
                     composite=composite,
@@ -223,7 +221,7 @@ def derived_fullfaithful_check(
             sa = adj.S.on_obj(a)
             r = _fibrant_approx_map(msN, sa)  # SA → F̃SA
             composite = M.comp(adj.T.on_mor(r), adj.unit[a])
-            if composite not in msM.W.members:
+            if composite not in msM.W:
                 return CheckResult.fail(
                     "derived unit is not a weak equivalence", object=a,
                     composite=composite,
@@ -246,7 +244,7 @@ def is_quillen_equivalence(
             tx = adj.T.on_obj(x)
             for g in M.hom(a, tx):
                 f = N.comp(adj.counit[x], adj.S.on_mor(g))
-                if (g in msM.W.members) != (f in msN.W.members):
+                if (g in msM.W) != (f in msN.W):
                     return CheckResult.fail(
                         "adjunct pair disagrees on weak equivalence",
                         a=a, x=x, g=g, adjunct=f,

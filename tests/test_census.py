@@ -569,17 +569,18 @@ def test_axiom_walk_matches_the_table_walk(name, request):
 
 def test_class_from_mask(diamond):
     """A class built from its mask is the class of its members: equal, with
-    the same hash and ``repr``, and the given mask kept; a mask with a bit
-    beyond the category's maps, or a negative one, is refused like a member
-    outside the category."""
+    the same mask, hash and ``repr``; a mask with a bit beyond the
+    category's maps, or a negative one, is refused like a member outside
+    the category."""
     n = len(diamond.morphisms)
     for mask in (0, 1, 0b1010_0110, (1 << n) - 1):
         cls = MorphClass.from_mask(diamond, mask)
         members = MorphClass(diamond, frozenset(_bits(mask)))
         assert (cls, hash(cls), repr(cls)) == (members, hash(members), repr(members))
-        assert cls.mask == members.mask == mask and vars(cls)["mask"] is mask
+        assert cls.mask == members.mask == mask
     for mask in (1 << n, (1 << n + 3) | 1, -1):
         with pytest.raises(InputError, match="class members must be morphisms"):
             MorphClass.from_mask(diamond, mask)
-    with pytest.raises(InputError, match="class members must be morphisms"):
-        MorphClass(diamond, frozenset({n}))
+    for members in ({n}, {0, -1}):
+        with pytest.raises(InputError, match="class members must be morphisms"):
+            MorphClass(diamond, frozenset(members))

@@ -236,26 +236,29 @@ def test_thm15_verifies_the_opposite_base_once(diamond, diamond_minimal, monkeyp
 
 
 def test_thm15_shares_the_opposite_classes(diamond, diamond_minimal, diamond_census, monkeypatch):
-    """Two checks over one candidate walk the Thm 1.2 table on opposite
-    candidates with the same opposite class objects, cached on the
-    candidate's classes, so the second check reads the first one's closure
-    verdicts."""
-    seen = []
-    dual = extend_mod._opposite_candidate
-
-    def recording(cand):
-        seen.append(dual(cand))
-        return seen[-1]
-
-    monkeypatch.setattr(extend_mod, "_opposite_candidate", recording)
+    """Thm 1.5 walks the Thm 1.2 table over the opposite classes cached on
+    the candidate's classes, so the first check leaves its closure verdicts
+    on ``W_g.opposite``, ``F_g.opposite`` and ``C_g.opposite``, none on the
+    classes themselves, and the second check reads them without deciding
+    a closure again."""
     ms = diamond_census.structures[-1]
-    cand = ExtensionCandidate(diamond_minimal, ms.W, ms.C, ms.F)
-    first, second = check_thm15(cand), check_thm15(cand)
-    assert first == second == _thm15_rebuilding(cand)
-    for cand_op in seen:
-        assert cand_op.W_g is ms.W.opposite
-        assert cand_op.C_g is ms.F.opposite and cand_op.F_g is ms.C.opposite
-    assert len(seen) == 2 and ms.W.opposite.cat is opposite(diamond)
+    # fresh copies of the classes: no closure verdict is cached yet
+    W, C, F = (MorphClass.from_mask(diamond, getattr(ms, X).mask) for X in "WCF")
+    cand = ExtensionCandidate(diamond_minimal, W, C, F)
+    want = _thm15_rebuilding(cand)
+    first = check_thm15(cand)
+    left = {X: dict(cls.opposite.verdicts) for X, cls in zip("WFC", (W, F, C))}
+    assert set(left["W"]) == {"two_of_three", "retracts"}
+    assert set(left["F"]) >= {"retracts", "composition"} and set(left["C"]) == {"retracts"}
+    assert W.verdicts == C.verdicts == F.verdicts == {}
+    decided = []
+    monkeypatch.setattr(extend_mod, "closure_check", lambda *args: decided.append(args))
+    second = check_thm15(cand)
+    assert decided == []
+    assert first == second == want
+    assert second.verdicts["1"] is left["W"]["two_of_three"]
+    assert {X: cls.opposite.verdicts for X, cls in zip("WFC", (W, F, C))} == left
+    assert W.opposite.cat is opposite(diamond)
 
 
 def test_thm15_verdicts_match_rebuilding_oracle(diamond, diamond_minimal, diamond_census):

@@ -28,11 +28,17 @@ from modelcat import (
     check_thm15,
     check_thm17,
 )
-from modelcat import extend
+from modelcat import extend, modelstruct
 from modelcat.census import enumerate_model_structures
 from modelcat.extend import check_properness
-from modelcat.fincat import MissingLimitError, build_category, from_poset
-from modelcat.modelstruct import find_cylinder, verify_model_structure
+from modelcat.fincat import (
+    MissingLimitError,
+    TheoremViolationError,
+    build_category,
+    from_poset,
+    opposite,
+)
+from modelcat.modelstruct import AxiomReport, find_cylinder, verify_model_structure
 from modelcat.morphclass import (
     CheckResult,
     closure_check,
@@ -421,12 +427,13 @@ def test_per_base_hypotheses_match_their_uncached_functions(diamond_census):
     inputs = {id(base): set() for base in bases}
     failures = {"ll 4": 0, "ll 5": 0, "ll 6": 0, "lm 6": 0}
     for cand in _candidates(diamond_census.cat, bases):
+        parts = (cand.base, cand.W_g, cand.C_g, cand.F_g)
         base, C_g, W_g = cand.base, cand.C_g.mask, cand.W_g.mask
         if cand.kind == "ll":
             pairs = {
-                "ll 4": (thm12["4"](cand), extend._cofibrant_coincidence(base, C_g)),
-                "ll 5": (thm12["5"](cand), extend._cylinders(base, C_g, W_g)),
-                "ll 6": (thm12["6"](cand), extend._w_pushout_stable(base, C_g)),
+                "ll 4": (thm12["4"](*parts), extend._cofibrant_coincidence(base, C_g)),
+                "ll 5": (thm12["5"](*parts), extend._cylinders(base, C_g, W_g)),
+                "ll 6": (thm12["6"](*parts), extend._w_pushout_stable(base, C_g)),
             }
             inputs[id(base)] |= {
                 (extend._cofibrant_coincidence, C_g),
@@ -434,7 +441,7 @@ def test_per_base_hypotheses_match_their_uncached_functions(diamond_census):
                 (extend._w_pushout_stable, C_g),
             }
         else:
-            pairs = {"lm 6": (thm17["6"](cand), check_properness(base, "right"))}
+            pairs = {"lm 6": (thm17["6"](*parts), check_properness(base, "right"))}
             inputs[id(base)].add((check_properness, "right"))
         for name, (cached, uncached) in pairs.items():
             assert cached == uncached, name
@@ -483,3 +490,25 @@ def test_thm15_fills_the_cache_of_the_opposite_base(diamond_minimal):
     again = check_thm15(cand)
     for key, name in keys.items():
         assert report.verdicts[name] is cached[key] is again.verdicts[name]
+
+
+def test_thm15_raises_when_the_opposite_base_fails(diamond_minimal, monkeypatch):
+    """The opposite of a verified model structure is one; if its
+    verification failed, Thm 1.5 raises instead of walking the table over
+    it, also under ``python -O``."""
+    base = dataclasses.replace(diamond_minimal)  # no opposite cached yet
+    cat_op = opposite(base.cat)
+    real = modelstruct.verify_model_structure
+
+    def failing_on_the_opposite(cat, *args, **kwargs):
+        if cat is cat_op:
+            return AxiomReport({"two_of_three_W": CheckResult.fail("told to fail")})
+        return real(cat, *args, **kwargs)
+
+    monkeypatch.setattr(modelstruct, "verify_model_structure", failing_on_the_opposite)
+    cand = ExtensionCandidate(base, base.W, base.C, base.F)
+    assert check_thm12(cand).passed
+    for stop_at_first in (False, True):
+        with pytest.raises(TheoremViolationError, match="opposite of a verified model structure"):
+            check_thm15(cand, stop_at_first=stop_at_first)
+    assert not base.opposite.verified

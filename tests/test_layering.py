@@ -18,13 +18,18 @@
   ``ModelStructure.cofibrant_pushouts``) is kept under it, and
   ``first_factorization`` is the first of ``factorizations``, not a loop
   of its own.
+- A class is its bitmask: only ``morphclass`` reads ``.members``, apart
+  from ``ModelStructure.triple``, which returns frozensets.
+- Thm 1.5 walks the Thm 1.2 table over the opposite base and classes, so
+  ``extend`` builds no second candidate: its one ``ExtensionCandidate``
+  call is the candidate ``prop14_build`` derives and returns.
 """
 
 import ast
 from pathlib import Path
 
 import modelcat
-from modelcat import fincat, morphclass
+from modelcat import extend, fincat, morphclass
 from modelcat.modelstruct import ModelStructure
 
 SRC = Path(modelcat.__file__).resolve().parent
@@ -126,3 +131,43 @@ def test_morphclass_builds_opposites_only_for_the_opposite_class():
     lines = [line for name, line in _references(path) if name == "opposite"]
     assert method.lineno in lines and len(lines) > 1
     assert [line for line in lines if not method.lineno <= line <= method.end_lineno] == []
+
+
+def _top_level(path: Path, name: str) -> ast.AST:
+    """The module-level function or class ``name``, or a method given as
+    ``Class.method``."""
+    node = ast.parse(path.read_text())
+    for part in name.split("."):
+        node = next(
+            child for child in node.body
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == part
+        )
+    return node
+
+
+def test_only_morphclass_reads_members():
+    triple = _top_level(SRC / "modelstruct.py", "ModelStructure.triple")
+    readers = [
+        (path.stem, node.lineno)
+        for path in MODULES
+        if path.stem != "morphclass"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "members"
+    ]
+    assert readers and all(
+        module == "modelstruct" and triple.lineno <= line <= triple.end_lineno
+        for module, line in readers
+    ), readers
+
+
+def test_thm15_builds_no_second_candidate():
+    assert not hasattr(extend, "_opposite_candidate")
+    assert _offenders(set(), {"_opposite_candidate"}) == []
+    path = SRC / "extend.py"
+    builders = {
+        top.name
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExtensionCandidate"
+    }
+    assert builders == {"prop14_build"}

@@ -23,15 +23,27 @@ from modelcat import (
     MissingLimitError,
     ModelStructure,
     MorphClass,
+    enumerate_factorizations,
     enumerate_model_structures,
+    find_cylinder,
+    homotopy_category,
+    lifting_closure,
     minimal_model_structure,
     parse_category,
     validate_category,
     verify_model_structure,
 )
 from modelcat.catio import fixture_path
-from modelcat.extend import check_fibration_transfer, check_invariance
+from modelcat.extend import (
+    ExtensionCandidate,
+    check_fibration_transfer,
+    check_invariance,
+    cofibrant_approximation_square,
+    factor_c_then_trivfib,
+    mapping_cylinder_factorization,
+)
 from modelcat.fincat import Preorder
+from modelcat.modelstruct import left_homotopic, right_homotopic
 from modelcat.cli import run
 from modelcat.morphclass import (
     closure_check,
@@ -251,6 +263,50 @@ def test_refusal_reasons():
         everything = MorphClass.all_maps(cat)
         with pytest.raises(InputError, match=reason):
             ModelStructure.build(cat, MorphClass.identities(cat), everything, everything)
+
+
+# requests on a valid structure ``ms`` that name a class over another
+# category (``alien``) or an id outside the category: Python indexing would
+# raise IndexError on 99 and wrap at -1
+ILL_FORMED_REQUESTS = {
+    "lifting_closure(foreign)": lambda ms, alien: lifting_closure(ms.cat, alien, "rlp"),
+    "enumerate_factorizations(foreign)": lambda ms, alien: enumerate_factorizations(
+        ms.cat, 0, ms.C, alien
+    ),
+    "find_cylinder(foreign)": lambda ms, alien: find_cylinder(ms.cat, ms.C, alien, 0),
+    "check_invariance(foreign W)": lambda ms, alien: check_invariance(ms.W, ms.C, alien),
+}
+for bad in (99, -1):
+    ILL_FORMED_REQUESTS |= {
+        f"cls_of({bad})": lambda ms, alien, bad=bad: homotopy_category(ms).cls_of(bad),
+        f"find_cylinder(x={bad})": lambda ms, alien, bad=bad: find_cylinder(
+            ms.cat, ms.C, ms.W, bad
+        ),
+        f"left_homotopic({bad})": lambda ms, alien, bad=bad: left_homotopic(ms, bad, bad),
+        f"right_homotopic({bad})": lambda ms, alien, bad=bad: right_homotopic(ms, bad, bad),
+        f"enumerate_factorizations(f={bad})": lambda ms, alien, bad=bad: (
+            enumerate_factorizations(ms.cat, bad, ms.C, ms.W)
+        ),
+        # at -1 these once raised TheoremViolationError on the wrapped map
+        f"cofibrant_approximation_square({bad})": lambda ms, alien, bad=bad: (
+            cofibrant_approximation_square(ms, bad)
+        ),
+        f"factor_c_then_trivfib({bad})": lambda ms, alien, bad=bad: factor_c_then_trivfib(
+            ExtensionCandidate(ms, ms.W, ms.C, ms.F), bad
+        ),
+        f"mapping_cylinder_factorization({bad})": lambda ms, alien, bad=bad: (
+            mapping_cylinder_factorization(ExtensionCandidate(ms, ms.W, ms.C, ms.F), bad)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(ILL_FORMED_REQUESTS))
+def test_ill_formed_class_requests_are_refused(name, diamond_minimal, chain2):
+    """A class over another category, or a map or object id outside the
+    category, is refused with InputError instead of answered about
+    another category, map or object."""
+    with pytest.raises(InputError, match="different categories|no (morphism|object) with id"):
+        ILL_FORMED_REQUESTS[name](diamond_minimal, MorphClass.all_maps(chain2))
 
 
 @settings(max_examples=40, deadline=None)
